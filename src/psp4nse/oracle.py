@@ -3,9 +3,11 @@ small permutation-group engine.
 
 The matrix engine enumerates the full group breadth-first from the standard
 generators (root elements x_iota(1), torus elements h(g,1), h(1,g), and the two
-Weyl reflections), packing each matrix into a 16f-bit key for membership.  The
-hot paths (closure, order histograms) run batched over numpy lookup tables;
-the scalar Mat4 API stays available for small-scale work and cross-checks.
+Weyl reflections).  Each matrix is one uint64 key laid out as Mat4.packed()
+(16 entries of f bits, row-major, entry (0,0) most significant), so q <= 16.
+Closure, order histograms and random words run on key arrays through one
+batched product that gathers from a table of field-scalar-times-packed-row
+products.  The scalar Mat4 API stays as the independent cross-check.
 
 For even q the symplectic group is already simple modulo nothing: the center
 is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
@@ -20,6 +22,7 @@ from math import lcm
 import numpy as np
 
 from .gf2 import FieldSpec, find_generator
+from .sympl import group_order, validate_q
 
 __all__ = [
     "CapacityExceeded",
@@ -39,7 +42,6 @@ __all__ = [
     "z3_times_z7_z4",
 ]
 
-_VECTOR_FIELD_LIMIT = 256  # multiplication tables stay dense up to GF(2^8)
 _CHUNK_ROWS = 1 << 18
 
 
@@ -123,8 +125,6 @@ def sp4_generators(q: int) -> list[Mat4]:
     (with -1 = 1 in characteristic 2).  Every matrix is checked against the
     alternating form before being returned.
     """
-    from .sympl import validate_q
-
     f = validate_q(q)
     spec = FieldSpec.for_degree(f)
     g = find_generator(spec).bits
@@ -145,88 +145,117 @@ def sp4_generators(q: int) -> list[Mat4]:
     return gens
 
 
-@lru_cache(maxsize=8)
-def _mul_table(spec: FieldSpec) -> np.ndarray:
-    n = spec.order
-    if n > _VECTOR_FIELD_LIMIT:
-        raise ValueError(f"dense multiplication table unsupported for GF(2^{spec.f})")
-    table = np.zeros((n, n), dtype=np.uint8)
-    for a in range(n):
-        for b in range(a, n):
-            v = spec.mul(a, b)
-            table[a, b] = v
-            table[b, a] = v
-    return table
+_MAX_KEY_DEGREE = 4  # 16 entries of f bits fill at most one uint64
 
 
-def _bmul(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix product over the field table; b is (4,4) or (n,4,4)."""
-    if b.ndim == 2:
-        prod = table[a[:, :, :, None], b[None, None, :, :]]
-    else:
-        prod = table[a[:, :, :, None], b[:, None, :, :]]
-    return np.bitwise_xor.reduce(prod, axis=2)
+def _keys(spec: FieldSpec, mats: list[Mat4]) -> np.ndarray:
+    """The packed keys of the matrices, as uint64."""
+    if spec.f > _MAX_KEY_DEGREE:
+        raise ValueError(f"matrices over GF(2^{spec.f}) need {16 * spec.f}-bit keys; the "
+                         f"oracle packs them into 64 bits, so q <= {1 << _MAX_KEY_DEGREE}")
+    return np.array([m.packed() for m in mats], dtype=np.uint64)
 
 
-def _pack_keys(mats: np.ndarray, f: int) -> list[int]:
-    """16f-bit keys for a batch of matrices (row-major entry packing)."""
-    flat = mats.reshape(len(mats), 16).astype(np.uint64)
-    per_word = 64 // f
-    words = []
-    for start in range(0, 16, per_word):
-        seg = flat[:, start : start + per_word]
-        k = seg.shape[1]
-        shifts = np.arange(k - 1, -1, -1, dtype=np.uint64) * np.uint64(f)
-        words.append((seg << shifts).sum(axis=1, dtype=np.uint64).tolist())
-    if len(words) == 1:
-        return words[0]
-    out = []
-    width = per_word * f
-    for parts in zip(*words):
-        key = 0
-        for w in parts:
-            key = (key << width) | int(w)
-        out.append(key)
+def _unpack(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
+    """The (n, 16) row-major entries of the keys."""
+    mask = np.uint64(spec.order - 1)
+    out = np.empty((len(keys), 16), dtype=np.uint8)
+    for i in range(16):
+        out[:, i] = (keys >> np.uint64(spec.f * (15 - i))) & mask
+    return out
+
+
+def _pack(spec: FieldSpec, entries: np.ndarray) -> np.ndarray:
+    """The keys of (n, 16) row-major entries; the inverse of _unpack."""
+    keys = np.zeros(len(entries), dtype=np.uint64)
+    for i in range(16):
+        keys = (keys << np.uint64(spec.f)) | entries[:, i]
+    return keys
+
+
+@lru_cache(maxsize=_MAX_KEY_DEGREE)
+def _row_table(spec: FieldSpec) -> np.ndarray:
+    """T[s * q^4 + w] = s * w for a field scalar s and a packed row w (4f bits)."""
+    q, f = spec.order, spec.f
+    scalar = np.array([[spec.mul(s, e) for e in range(q)] for s in range(q)], dtype=np.uint64)
+    rows = np.arange(q**4, dtype=np.uint64)
+    table = np.zeros((q, q**4), dtype=np.uint64)
+    for c in range(4):
+        shift = np.uint64(f * (3 - c))
+        table |= scalar[:, (rows >> shift) & np.uint64(q - 1)] << shift
+    return table.reshape(-1)
+
+
+def _kmul(spec: FieldSpec, a: np.ndarray, b) -> np.ndarray:
+    """The products a * b of packed keys; b is one key or an array like a.
+
+    Row r of a * b is the xor over k of a[r, k] * (row k of b): sixteen
+    gathers from the one table of scalar-times-row products.
+    """
+    table = _row_table(spec)
+    f, w = spec.f, 4 * spec.f
+    scalar_bits = np.uint64((spec.order - 1) << w)
+    row = np.uint64((1 << w) - 1)
+    b_rows = [(b >> np.uint64(w * (3 - k))) & row for k in range(4)]
+    out = np.zeros(len(a), dtype=np.uint64)
+    idx = np.empty(len(a), dtype=np.uint64)
+    for r in range(4):
+        acc = np.zeros(len(a), dtype=np.uint64)
+        for k in range(4):
+            # move entry (r, k) of a to the scalar bits of the table index
+            shift = f * (15 - 4 * r - k) - w
+            if shift >= 0:
+                np.right_shift(a, np.uint64(shift), out=idx)
+            else:
+                np.left_shift(a, np.uint64(-shift), out=idx)
+            idx &= scalar_bits
+            idx |= b_rows[k]
+            acc ^= table[idx.view(np.intp)]
+        acc <<= np.uint64(w * (3 - r))
+        out |= acc
     return out
 
 
 @dataclass
 class EnumeratedGroup:
-    """An enumerated matrix group: packed-key membership plus the matrix array."""
+    """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys."""
 
     spec: FieldSpec
-    mats: np.ndarray
-    keys: frozenset[int]
+    keys: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __contains__(self, m: Mat4) -> bool:
-        return m.spec == self.spec and m.packed() in self.keys
+        if m.spec != self.spec:
+            return False
+        key = np.uint64(m.packed())
+        pos = int(np.searchsorted(self.keys, key))
+        return pos < len(self.keys) and self.keys[pos] == key
+
+    @property
+    def mats(self) -> np.ndarray:
+        """The (n, 4, 4) entries, unpacked on each access."""
+        return _unpack(self.spec, self.keys).reshape(-1, 4, 4)
 
     def __iter__(self):
-        for row in self.mats:
-            yield Mat4(self.spec, tuple(int(x) for x in row.reshape(16)))
+        for row in _unpack(self.spec, self.keys):
+            yield Mat4(self.spec, tuple(row.tolist()))
 
     def all_symplectic(self) -> bool:
         """Vectorized check that every element preserves the alternating form."""
-        table = _mul_table(self.spec)
-        a = self.mats
-        ja = a[:, ::-1, :]  # J acts by reversing rows
-        at = a.transpose(0, 2, 1)
-        prod = _bmul(table, at, ja)
-        j = np.array(_J_ENTRIES, dtype=a.dtype).reshape(4, 4)
-        return bool((prod == j).all())
-
-
-def _mats_array(generators: list[Mat4]) -> np.ndarray:
-    return np.array([g.entries for g in generators], dtype=np.uint8).reshape(-1, 4, 4)
+        mats = self.mats
+        at = _pack(self.spec, mats.transpose(0, 2, 1).reshape(-1, 16))
+        ja = _pack(self.spec, mats[:, ::-1, :].reshape(-1, 16))  # J reverses rows
+        j = Mat4(self.spec, _J_ENTRIES).packed()
+        return bool((_kmul(self.spec, at, ja) == np.uint64(j)).all())
 
 
 def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     """Closure of the generators under multiplication, breadth-first from identity.
 
-    Raises CapacityExceeded as soon as the closure grows past cap elements.
+    Raises CapacityExceeded as soon as the closure grows past cap elements, and
+    ValueError for matrices over fields larger than GF(16).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -235,51 +264,39 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         raise ValueError("generators over different field specs")
     if cap < 1:
         raise ValueError("cap must be positive")
-    table = _mul_table(spec)
-    f = spec.f
-    gens = _mats_array(generators)
-    ident = _mats_array([Mat4.identity(spec)])
-    seen: set[int] = set(_pack_keys(ident, f))
-    blocks = [ident]
-    frontier = ident
+    gens = _keys(spec, generators)
+    seen = _keys(spec, [Mat4.identity(spec)])  # sorted throughout
+    frontier = seen
     while len(frontier):
         fresh_blocks = []
-        for gi in range(len(gens)):
-            for start in range(0, len(frontier), _CHUNK_ROWS):
-                chunk = frontier[start : start + _CHUNK_ROWS]
-                prods = _bmul(table, chunk, gens[gi])
-                keys = _pack_keys(prods, f)
-                fresh_idx = []
-                for pos, key in enumerate(keys):
-                    if key not in seen:
-                        seen.add(key)
-                        fresh_idx.append(pos)
-                if len(seen) > cap:
-                    raise CapacityExceeded(
-                        f"closure exceeded cap of {cap} elements"
-                    )
-                if fresh_idx:
-                    fresh_blocks.append(prods[np.array(fresh_idx)])
-        if fresh_blocks:
-            frontier = np.concatenate(fresh_blocks)
-            blocks.append(frontier)
-        else:
-            frontier = ident[:0]
-    return EnumeratedGroup(spec, np.concatenate(blocks), frozenset(seen))
+        for start in range(0, len(frontier), _CHUNK_ROWS):
+            chunk = frontier[start : start + _CHUNK_ROWS]
+            prods = np.sort(np.concatenate([_kmul(spec, chunk, g) for g in gens]))
+            # np.unique would do, but its numpy-2 hash path is several times slower
+            prods = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
+            pos = np.searchsorted(seen, prods)
+            fresh = seen[np.minimum(pos, len(seen) - 1)] != prods
+            seen = np.insert(seen, pos[fresh], prods[fresh])
+            if len(seen) > cap:
+                raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+            fresh_blocks.append(prods[fresh])
+        frontier = np.concatenate(fresh_blocks)
+    return EnumeratedGroup(spec, seen)
 
 
 _SP4_CACHE: dict[int, EnumeratedGroup] = {}
 
 
 def sp4_group(q: int, cap: int = 2_000_000) -> EnumeratedGroup:
-    """Enumerate Sp4(q) once per process; capacity errors are not cached."""
-    cached = _SP4_CACHE.get(q)
-    if cached is not None:
-        if len(cached) > cap:
-            raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-        return cached
-    group = enumerate_group(sp4_generators(q), cap)
-    _SP4_CACHE[q] = group
+    """Enumerate Sp4(q) once per process; capacity errors are not cached.
+
+    A q whose group order already exceeds cap fails before any enumeration.
+    """
+    if group_order(q) > cap:
+        raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+    group = _SP4_CACHE.get(q)
+    if group is None:
+        group = _SP4_CACHE[q] = enumerate_group(sp4_generators(q), cap)
     return group
 
 
@@ -303,41 +320,26 @@ class OrderHistogram:
         return self.counts.get(order, 0)
 
 
-def _orders_vectorized(spec: FieldSpec, mats: np.ndarray, bound: int) -> np.ndarray:
-    table = _mul_table(spec)
-    n = len(mats)
-    ident = np.array(
-        [1 if r == c else 0 for r in range(4) for c in range(4)], dtype=mats.dtype
-    ).reshape(4, 4)
-    orders = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    cur = mats.copy()
-    base = mats
-    k = 1
-    while len(idx):
-        if k > bound:
-            raise RuntimeError(f"element order exceeds bound {bound}")
-        done = (cur == ident).all(axis=(1, 2))
+def _orders_vectorized(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray:
+    ident = np.uint64(Mat4.identity(spec).packed())
+    orders = np.zeros(len(keys), dtype=np.int64)
+    idx = np.arange(len(keys))
+    cur = base = keys
+    for k in range(1, bound + 1):
+        done = cur == ident
         orders[idx[done]] = k
         keep = ~done
-        idx = idx[keep]
-        cur = cur[keep]
-        base = base[keep]
-        if len(idx):
-            out = []
-            for start in range(0, len(idx), _CHUNK_ROWS):
-                out.append(
-                    _bmul(table, cur[start : start + _CHUNK_ROWS], base[start : start + _CHUNK_ROWS])
-                )
-            cur = np.concatenate(out)
-            k += 1
-    return orders
+        idx, cur, base = idx[keep], cur[keep], base[keep]
+        if not len(idx):
+            return orders
+        cur = _kmul(spec, cur, base)
+    raise RuntimeError(f"element order exceeds bound {bound}")
 
 
 def order_histogram(elements) -> OrderHistogram:
     """Exact order histogram; vectorized for an EnumeratedGroup, scalar otherwise."""
     if isinstance(elements, EnumeratedGroup):
-        orders = _orders_vectorized(elements.spec, elements.mats, len(elements) + 1)
+        orders = _orders_vectorized(elements.spec, elements.keys, len(elements) + 1)
         values, counts = np.unique(orders, return_counts=True)
         return OrderHistogram({int(v): int(c) for v, c in zip(values, counts)})
     counts: dict[int, int] = {}
@@ -353,15 +355,12 @@ def random_word_orders(
     """Orders of random length-`length` products of the Sp4(q) generators."""
     gens = sp4_generators(q)
     spec = gens[0].spec
-    table = _mul_table(spec)
-    g = _mats_array(gens)
+    g = _keys(spec, gens)
     rng = np.random.default_rng(seed)
-    cur = np.broadcast_to(
-        _mats_array([Mat4.identity(spec)])[0], (count, 4, 4)
-    ).copy()
+    cur = np.full(count, Mat4.identity(spec).packed(), dtype=np.uint64)
     for _ in range(length):
         pick = rng.integers(0, len(g), size=count)
-        cur = _bmul(table, cur, g[pick])
+        cur = _kmul(spec, cur, g[pick])
     return _orders_vectorized(spec, cur, bound=4 * (q * q + 1))
 
 

@@ -96,9 +96,12 @@ def test_oracle_compare(tmp_path, capsys, sp44):
     assert hist["counts"]["17"] == "230400"
 
 
-def test_oracle_capacity_limit(tmp_path, monkeypatch):
+def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NSE_MAX_ENUM", "1000")
-    assert run_cli(["oracle", "--q", "8", "--out", str(tmp_path)]) == 1
+    # q >= 32 has no 64-bit key, but its group order already exceeds the cap
+    for q in ("8", "32", "512"):
+        assert run_cli(["oracle", "--q", q, "--out", str(tmp_path)]) == 1
+        assert "closure exceeded cap of 1000 elements" in capsys.readouterr().err
 
 
 def test_oracle_without_args_errors(tmp_path):

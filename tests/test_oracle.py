@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp4nse.arith import coprime_part, divisors
 from psp4nse.gf2 import FieldSpec
@@ -7,6 +9,10 @@ from psp4nse.oracle import (
     CapacityExceeded,
     Mat4,
     PermGroupSpec,
+    _keys,
+    _kmul,
+    _pack,
+    _unpack,
     enumerate_group,
     order_histogram,
     perm_group_elements,
@@ -78,6 +84,56 @@ def test_enumerate_small_subgroup():
 def test_enumeration_capacity_error():
     with pytest.raises(CapacityExceeded):
         enumerate_group(sp4_generators(4), cap=10**5)
+
+
+def test_enumeration_rejects_keys_over_64_bits():
+    with pytest.raises(ValueError, match="64 bits"):
+        enumerate_group([Mat4.identity(FieldSpec.for_degree(5))], cap=10)
+
+
+def _word(q, word):
+    gens = sp4_generators(q)
+    m = Mat4.identity(gens[0].spec)
+    for i in word:
+        m = m.mul(gens[i])
+    return m
+
+
+_words = st.lists(st.integers(0, 7), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([4, 8, 16]), pairs=st.lists(st.tuples(_words, _words), min_size=1,
+                                                       max_size=4))
+def test_kmul_matches_scalar_mul(q, pairs):
+    a = [_word(q, left) for left, _ in pairs]
+    b = [_word(q, right) for _, right in pairs]
+    spec = a[0].spec
+    ka, kb = _keys(spec, a), _keys(spec, b)
+    want = [x.mul(y).packed() for x, y in zip(a, b)]
+    assert _kmul(spec, ka, kb).tolist() == want
+    assert _kmul(spec, ka, kb[0]).tolist() == [x.mul(b[0]).packed() for x in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), f=st.integers(2, 4))
+def test_key_unpack_repack_round_trip(data, f):
+    spec = FieldSpec.for_degree(f)
+    keys = data.draw(st.lists(st.integers(0, (1 << (16 * f)) - 1), min_size=1, max_size=8))
+    arr = np.array(keys, dtype=np.uint64)
+    entries = _unpack(spec, arr)
+    assert _pack(spec, entries).tolist() == keys
+    assert [Mat4(spec, tuple(row.tolist())).packed() for row in entries] == keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 979199), pos=st.integers(0, 15), delta=st.integers(0, 3))
+def test_sp44_membership_is_symplecticity(sp44, index, pos, delta):
+    # an element of the group with one entry xored by delta (0 keeps it)
+    entries = _unpack(sp44.spec, sp44.keys[index : index + 1])[0].tolist()
+    entries[pos] ^= delta
+    m = Mat4(sp44.spec, tuple(entries))
+    assert (m in sp44) == m.is_symplectic()
 
 
 def test_sp44_full_enumeration(sp44):
