@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Callable, NamedTuple
 
 from . import families as fam
 from .arith import (
@@ -178,19 +179,23 @@ def match_order(n: int) -> int | None:
         f += 1
 
 
-def prime_count_membership(q: int, r: int, value: int) -> bool:
-    """Whether a same-order count for prime r can occur: A2 for r = 2, A9 for
-    r | q^2+1, A4 u A5 for r | q^2-1."""
-    a = build_A_sets(q)
+def _count_bucket(q: int, r: int, a: AmcSets) -> tuple[str, frozenset[int]]:
+    """The bucket label of prime r and the same-order counts it allows."""
     if r == 2:
-        return value in a.a2
+        return "A2", a.a2
     if not is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
     if (q * q + 1) % r == 0:
-        return value in a.a9
+        return "A9", a.a9
     if (q * q - 1) % r == 0:
-        return value in (a.a4 | a.a5)
+        return "A4|A5", a.a4 | a.a5
     raise ValueError(f"prime {r} divides neither q^2+1 nor q^2-1 for q={q}")
+
+
+def prime_count_membership(q: int, r: int, value: int) -> bool:
+    """Whether a same-order count for prime r can occur: A2 for r = 2, A9 for
+    r | q^2+1, A4 u A5 for r | q^2-1."""
+    return value in _count_bucket(q, r, build_A_sets(q))[1]
 
 
 def frobenius_exclusion(q: int) -> tuple[bool, tuple[DivisibilityCheck, ...]]:
@@ -273,6 +278,20 @@ def _odd_primes():
         n += 2
 
 
+def _two_powers(start):
+    m = start
+    while True:
+        yield m
+        m *= 2
+
+
+def _two_t_plus_one():
+    t = 2
+    while True:
+        yield (1 << t) + 1
+        t += 1
+
+
 def _bounded_params(params, order_fn, bound):
     """Prefix of a monotone parameter stream whose group order stays <= bound."""
     out = []
@@ -321,200 +340,19 @@ def _odd_two_power_candidates(base, bound, order_fn):
     return out
 
 
-def _fmt_params(params) -> str:
-    if not params:
-        return "{}"
-    if len(params) <= 8:
-        return "{" + ", ".join(map(str, params)) + "}"
-    return f"{{{params[0]}, ..., {params[-1]}}} ({len(params)} values)"
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
 
 
-def _entry(family, case, status, witness, anchor) -> TraceEntry:
-    return TraceEntry(family, case, status, witness, anchor)
+def _odd_prime_power(n: int) -> bool:
+    pp = is_prime_power(n)
+    return pp is not None and pp[0] != 2
 
 
-def _order_kill(family, case, label, order_value, go, extra="") -> TraceEntry:
-    if go % order_value:
-        return _entry(
-            family,
-            case,
-            ELIMINATED,
-            f"|{label}| = {order_value} does not divide |G| = {go}{extra}",
-            AN_ORDER_DIV,
-        )
-    return _entry(
-        family,
-        case,
-        NEEDS_MANUAL_LEMMA,
-        f"|{label}| = {order_value} divides |G|; no implemented predicate separates it{extra}",
-        AN_ORDER_DIV,
-    )
-
-
-def _search_entry(family, case, anchor, candidates, values_fn, target, on_hit=None, go=None, order_fn=None, label=None):
-    """One case entry: bounded candidate scan for values_fn(x) hitting target."""
-    if not candidates:
-        return _entry(
-            family, case, ELIMINATED,
-            "no candidate parameter: the family's minimal order already exceeds |G|",
-            AN_ORDER_DIV,
-        )
-    hits = [x for x in candidates if target in tuple(v for v in values_fn(x) if v is not None)]
-    if not hits:
-        return _entry(
-            family, case, ELIMINATED,
-            f"no parameter in {_fmt_params(candidates)} yields odd component {target}",
-            anchor,
-        )
-    if on_hit is None:
-        parts = []
-        status = ELIMINATED
-        for x in hits:
-            o = order_fn(x)
-            if go % o:
-                parts.append(f"q'={x}: |{label}({x})| = {o} does not divide |G|")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"q'={x}: |{label}({x})| divides |G|; unresolved")
-        return _entry(family, case, status, "; ".join(parts), AN_ORDER_DIV)
-    parts = []
-    status = ELIMINATED
-    for x in hits:
-        st, msg = on_hit(x)
-        if st != ELIMINATED:
-            status = st
-        parts.append(msg)
-    return _entry(family, case, status, "; ".join(parts), anchor)
-
-
-# ---------------------------------------------------------------------------
-# family eliminators
-
-def _eliminate_alternating(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "Alternating"
-    entries = []
-
-    small = (3, 5, 15)
-    if n2 in small:
-        entries.append(_entry(f, "degree 5 or 6", NEEDS_MANUAL_LEMMA,
-                              f"q^2+1 = {n2} matches a degree-5/6 odd component", AN_OC_TABLES))
-    else:
-        entries.append(_entry(f, "degree 5 or 6", ELIMINATED,
-                              f"q^2+1 = {n2} is not one of {small}", AN_OC_TABLES))
-
-    if not is_prime(n2):
-        entries.append(_entry(f, "q^2+1 = p", ELIMINATED,
-                              f"q^2+1 = {n2} is not prime", AN_OC_TABLES))
-    else:
-        d = q**4 - 9
-        rem = go % d
-        if rem:
-            entries.append(_entry(f, "q^2+1 = p", ELIMINATED,
-                                  f"would force q^4-9 = {d} to divide |G| = {go}; remainder {rem}",
-                                  AN_Q4M9))
-        else:
-            entries.append(_entry(f, "q^2+1 = p", NEEDS_MANUAL_LEMMA,
-                                  f"q^4-9 = {d} divides |G|", AN_Q4M9))
-
-    p = n2 + 2
-    if not is_prime(p):
-        entries.append(_entry(f, "q^2+1 = p-2", ELIMINATED,
-                              f"q^2+3 = {p} is not prime", AN_OC_TABLES))
-    else:
-        rem = go % p
-        if rem:
-            entries.append(_entry(f, "q^2+1 = p-2", ELIMINATED,
-                                  f"q^2+3 = {p} does not divide |G| = {go} (remainder {rem})",
-                                  AN_ORDER_DIV))
-        else:
-            entries.append(_entry(f, "q^2+1 = p-2", NEEDS_MANUAL_LEMMA,
-                                  f"q^2+3 = {p} divides |G|", AN_ORDER_DIV))
-
-    s = isqrt(n2 + 1)
-    if s * s == n2 + 1:
-        entries.append(_entry(f, "q^2+1 = p(p-2)", NEEDS_MANUAL_LEMMA,
-                              f"q^2+2 = {n2 + 1} is a perfect square", AN_SQUARE))
-    else:
-        entries.append(_entry(f, "q^2+1 = p(p-2)", ELIMINATED,
-                              f"q^2+1 = p(p-2) forces q^2+2 = (p-1)^2, but {n2 + 1} is not a perfect square",
-                              AN_SQUARE))
-    return entries
-
-
-def _eliminate_sporadic(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    entries = []
-    for grp in fam.SPORADIC_GROUPS:
-        if n2 not in grp.odd_components:
-            entries.append(_entry("Sporadic", grp.name, ELIMINATED,
-                                  f"odd order components {grp.odd_components} exclude q^2+1 = {n2}",
-                                  AN_OC_TABLES))
-        else:
-            entries.append(_order_kill("Sporadic", grp.name, grp.name, grp.order, go,
-                                       extra=f" (component {n2} matches)"))
-    return entries
-
-
-def _eliminate_tits(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    grp = fam.TITS_GROUP
-    if n2 not in grp.odd_components:
-        return [_entry("Tits", grp.name, ELIMINATED,
-                       f"odd order components {grp.odd_components} exclude q^2+1 = {n2}",
-                       AN_OC_TABLES)]
-    return [_order_kill("Tits", grp.name, grp.name, grp.order, go)]
-
-
-def _suzuki_entry(q: int) -> TraceEntry:
-    n2 = q * q + 1
-    go = group_order(q)
-    candidates = _odd_two_power_candidates(2, go, fam.order_2B2)
-    if not candidates:
-        return _entry("Exceptional", "2B2(q')", ELIMINATED,
-                      "no candidate parameter: |2B2(8)| already exceeds |G|", AN_ORDER_DIV)
-
-    def vals(x):
-        rt = isqrt(2 * x)
-        return (
-            x - 1, x - rt + 1, x + rt + 1, x * x + 1,
-            (x - 1) * (x - rt + 1), (x - 1) * (x + rt + 1), (x - 1) * (x * x + 1),
-        )
-
-    hits = [x for x in candidates if n2 in vals(x)]
-    if not hits:
-        return _entry("Exceptional", "2B2(q')", ELIMINATED,
-                      f"no parameter in {_fmt_params(candidates)} yields odd component {n2}",
-                      AN_OC_TABLES)
-    parts = []
-    status = ELIMINATED
-    for x in hits:
-        if x * x + 1 == n2:
-            # q' = q: primes of q'-sqrt(2q')+1 and q'+sqrt(2q')+1 are non-adjacent,
-            # so the larger factor must divide a count phi(r) q^4 (q^2-1)^2 / 4.
-            rt = isqrt(2 * x)
-            s_plus = x + rt + 1
-            base = q**4 * (q * q - 1) ** 2 // 4
-            surviving = [r for r in divisors(x - rt + 1)[1:]
-                         if (euler_phi(r) * base) % s_plus == 0]
-            if surviving:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"q'={x}: {s_plus} divides the candidate count for r in {surviving}")
-            else:
-                parts.append(
-                    f"q'={x}: {s_plus} divides no candidate count phi(r)q^4(q^2-1)^2/4 with r | {x - rt + 1}"
-                )
-        else:
-            o = fam.order_2B2(x)
-            if go % o:
-                parts.append(f"q'={x}: |2B2({x})| = {o} does not divide |G|")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"q'={x}: |2B2({x})| divides |G|; unresolved")
-    return _entry("Exceptional", "2B2(q')", status, "; ".join(parts), AN_SYLOW)
+def _root_hits(target: int, exponents):
+    """(exponent, root) pairs with root^exponent = target, root an odd prime power."""
+    return [(m, root) for m in exponents
+            if (root := nth_root(target, m)) ** m == target and _odd_prime_power(root)]
 
 
 def _e8_values(x: int) -> tuple[int, ...]:
@@ -529,721 +367,599 @@ def _e8_values(x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eliminate_exceptional(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "Exceptional"
-    entries = [_suzuki_entry(q)]
-
-    entries.append(_search_entry(
-        f, "G2(q')", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_G2),
-        lambda x: (cyclotomic_eval(3, x), cyclotomic_eval(6, x), cyclotomic_eval(3, x * x)),
-        n2, go=go, order_fn=fam.order_G2, label="G2",
-    ))
-    entries.append(_search_entry(
-        f, "3D4(q')", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_3D4),
-        lambda x: (cyclotomic_eval(12, x),),
-        n2, go=go, order_fn=fam.order_3D4, label="3D4",
-    ))
-    entries.append(_search_entry(
-        f, "2G2(q')", AN_OC_TABLES,
-        _odd_two_power_candidates(3, go, fam.order_2G2),
-        lambda x: (
-            twisted_cyclotomic_eval(6, 1, x),
-            twisted_cyclotomic_eval(6, -1, x),
-            cyclotomic_eval(6, x),
-        ),
-        n2, go=go, order_fn=fam.order_2G2, label="2G2",
-    ))
-    entries.append(_search_entry(
-        f, "F4(q')", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_F4),
-        lambda x: (x**4 + 1, x**4 - x * x + 1, x**8 - x**6 + 2 * x**4 - x * x + 1),
-        n2, go=go, order_fn=fam.order_F4, label="F4",
-    ))
-    entries.append(_search_entry(
-        f, "2F4(q')", AN_OC_TABLES,
-        _odd_two_power_candidates(2, go, fam.order_2F4),
-        lambda x: (
-            twisted_cyclotomic_eval(12, 1, x),
-            twisted_cyclotomic_eval(12, -1, x),
-            cyclotomic_eval(12, x),
-        ),
-        n2, go=go, order_fn=fam.order_2F4, label="2F4",
-    ))
-    entries.append(_search_entry(
-        f, "E6(q'), q' = 0,-1 (mod 3)", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_E6, keep=lambda x: x % 3 != 1),
-        lambda x: (cyclotomic_eval(9, x),),
-        n2, go=go, order_fn=fam.order_E6, label="E6",
-    ))
-
-    def e6_special_kill(x):
-        t = 3 * q * q + 2
-        rem = go % t
-        if rem:
-            return (ELIMINATED,
-                    f"q'={x}: would force 3q^2+2 = {t} to divide |G|; remainder {rem}")
-        return (NEEDS_MANUAL_LEMMA, f"q'={x}: 3q^2+2 = {t} divides |G|")
-
-    entries.append(_search_entry(
-        f, "E6(q'), q' = 1 (mod 3)", AN_3Q2P2,
-        _pp_candidates(go, fam.order_E6, keep=lambda x: x % 3 == 1),
-        lambda x: (x**6 + x**3,),
-        3 * q * q + 2, on_hit=e6_special_kill,
-    ))
-    entries.append(_search_entry(
-        f, "2E6(q'), q' = 0,1 (mod 3)", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_2E6, keep=lambda x: x % 3 != 2),
-        lambda x: (cyclotomic_eval(18, x),),
-        n2, go=go, order_fn=fam.order_2E6, label="2E6",
-    ))
-    entries.append(_search_entry(
-        f, "2E6(q'), q' = -1 (mod 3)", AN_3Q2P2,
-        _pp_candidates(go, fam.order_2E6, keep=lambda x: x % 3 == 2),
-        lambda x: (x**6 - x**3,),
-        3 * q * q + 2, on_hit=e6_special_kill,
-    ))
-
-    for name, order_value, vals in fam.E_GROUP_CASES:
-        if n2 not in vals:
-            entries.append(_entry(f, name, ELIMINATED,
-                                  f"q^2+1 = {n2} is not among the components {vals}",
-                                  AN_OC_TABLES))
-        else:
-            entries.append(_order_kill(f, name, name, order_value, go,
-                                       extra=f" (component {n2} matches)"))
-
-    entries.append(_search_entry(
-        f, "E8(q')", AN_OC_TABLES,
-        _pp_candidates(go, fam.order_E8),
-        _e8_values,
-        n2, go=go, order_fn=fam.order_E8, label="E8",
-    ))
-    return entries
+def _fmt_params(params) -> str:
+    if not params:
+        return "{}"
+    if len(params) <= 8:
+        return "{" + ", ".join(map(str, params)) + "}"
+    return f"{{{params[0]}, ..., {params[-1]}}} ({len(params)} values)"
 
 
-def _eliminate_psl(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "PSL"
-    entries = []
+# ---------------------------------------------------------------------------
+# the case table
 
+class _G(NamedTuple):
+    """What a case reads of the group: q and |G|."""
+
+    q: int
+    go: int
+
+    @property
+    def n2(self) -> int:  # the odd order component q^2+1
+        return self.q * self.q + 1
+
+    @property
+    def two_q2p1(self) -> int:
+        return 2 * self.q * self.q + 1
+
+    @property
+    def three_q2p2(self) -> int:
+        return 3 * self.q * self.q + 2
+
+
+_NO_PARAM = "no candidate parameter: the family's minimal order already exceeds |G|"
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One (family, case) of the trace.
+
+    `params(g)` is the case's bounded parameter stream (None: it has none);
+    an empty stream is witnessed by `empty`.  `hits(g, params)` picks the
+    parameters that meet the odd component; none is witnessed by `miss(g,
+    params)` under `miss_anchor`.  `kill(g, hit)` rules on one hit and returns
+    (status, message), or (status, message, anchor) when the step that rules
+    names its own anchor.
+    """
+
+    family: str
+    case: str
+    hits: Callable
+    kill: Callable
+    anchor: str
+    miss: Callable | None = None
+    miss_anchor: str = AN_OC_TABLES
+    params: Callable | None = None
+    empty: str = _NO_PARAM
+
+
+def _run_case(row: _Case, g: _G) -> TraceEntry:
+    """Fold the case's hits into one trace entry."""
+    params = None if row.params is None else row.params(g)
+    if params is not None and not params:
+        return TraceEntry(row.family, row.case, ELIMINATED, row.empty, AN_ORDER_DIV)
+    hits = row.hits(g, params)
+    if not hits:
+        return TraceEntry(row.family, row.case, ELIMINATED, row.miss(g, params), row.miss_anchor)
+    status, parts, anchor = ELIMINATED, [], row.anchor
+    for hit in hits:
+        st, message, *own_anchor = row.kill(g, hit)
+        if st != ELIMINATED:
+            status = st
+        parts.append(message)
+        anchor = own_anchor[0] if own_anchor else anchor
+    return TraceEntry(row.family, row.case, status, "; ".join(parts), anchor)
+
+
+def _kill(go, d, killed, unresolved):
+    """`killed` when d does not divide |G|, else NeedsManualLemma."""
+    return (ELIMINATED, killed) if go % d else (NEEDS_MANUAL_LEMMA, unresolved)
+
+
+def _must_divide(go, d, head, unresolved):
+    return _kill(go, d, f"{head}; remainder {go % d}", unresolved)
+
+
+def _tagged_order(go, order, tag, group):
+    return _kill(go, order, f"{tag}: |{group}| does not divide |G|", f"{tag}: unresolved")
+
+
+def _member(values):
+    return lambda g, _: [g.n2] if g.n2 in values else []
+
+
+def _always(hit):
+    return lambda g, _: [hit(g)]
+
+
+def _every(g, params):
+    return params
+
+
+def _open(message):
+    return lambda g, hit: (NEEDS_MANUAL_LEMMA, message(g, hit))
+
+
+def _confirming(family, case, witness):
+    return _Case(family, case, _always(lambda g: None),
+                 lambda g, _: (CONFIRMING, witness(g)), AN_OC_RECOGNITION)
+
+
+def _scan(family, case, params, values, kill, anchor=AN_ORDER_DIV, miss_anchor=AN_OC_TABLES,
+          target=lambda g: g.n2):
+    """A bounded scan of the parameters whose component values hit target."""
+    return _Case(
+        family, case,
+        hits=lambda g, xs: [x for x in xs if target(g) in values(x)],
+        kill=kill, anchor=anchor,
+        miss=lambda g, xs: f"no parameter in {_fmt_params(xs)} yields odd component {target(g)}",
+        miss_anchor=miss_anchor, params=params,
+    )
+
+
+def _qprime_order(label, order_fn):
+    """Kill q' when |label(q')| does not divide |G|."""
+    def kill(g, x):
+        o = order_fn(x)
+        return _kill(g.go, o, f"q'={x}: |{label}({x})| = {o} does not divide |G|",
+                     f"q'={x}: |{label}({x})| divides |G|; unresolved")
+    return kill
+
+
+def _scan_pp(family, label, order_fn, values, keep=None, case=None):
+    """A scan of the prime powers q' with |label(q')| <= |G|."""
+    return _scan(family, case or f"{label}(q')", lambda g: _pp_candidates(g.go, order_fn, keep=keep),
+                 values, _qprime_order(label, order_fn))
+
+
+def _dims(order_fn, stream=_odd_primes):
+    """The bounded prefix of a dimension stream, by the order at that dimension."""
+    return lambda g: _bounded_params(stream(), order_fn, g.go)
+
+
+def _named(family, name, order, components, miss, matched=True):
+    """One group with a fixed list of odd order components."""
+    def kill(g, _):
+        tail = f" (component {g.n2} matches)" if matched else ""
+        return _kill(g.go, order, f"|{name}| = {order} does not divide |G| = {g.go}{tail}",
+                     f"|{name}| = {order} divides |G|; no implemented predicate separates it{tail}")
+    return _Case(family, name, _member(components), kill, AN_ORDER_DIV,
+                 miss=lambda g, _: miss.format(n2=g.n2, components=components))
+
+
+def _small_pair(family, kind, components, a, oa, b, ob):
+    """Two small groups sharing a component list; both orders must fail."""
+    def kill(g, _):
+        if g.go % oa and g.go % ob:
+            return ELIMINATED, f"neither |{a}| = {oa} nor |{b}| = {ob} divides |G|"
+        return NEEDS_MANUAL_LEMMA, f"a small {kind} order divides |G|"
+    return _Case(family, f"{a}, {b}", _member(components), kill, AN_ORDER_DIV,
+                 miss=lambda g, _: f"q^2+1 = {g.n2} is not among {components}")
+
+
+def _no_root(var):
+    return lambda g, dims: (
+        f"no prime power q' solves the component equation for {var} in {_fmt_params(dims)}")
+
+
+def _qprime_divides(g, dv):
+    return _must_divide(g.go, dv, f"q' = {dv} must divide |G| = {g.go}", f"q' = {dv} divides |G|")
+
+
+def _e6_special_kill(g, x):
+    t = g.three_q2p2
+    return _must_divide(g.go, t, f"q'={x}: would force 3q^2+2 = {t} to divide |G|",
+                        f"q'={x}: 3q^2+2 = {t} divides |G|")
+
+
+def _suzuki_values(x):
+    rt = isqrt(2 * x)
+    return (
+        x - 1, x - rt + 1, x + rt + 1, x * x + 1,
+        (x - 1) * (x - rt + 1), (x - 1) * (x + rt + 1), (x - 1) * (x * x + 1),
+    )
+
+
+def _suzuki_kill(g, x):
+    if x * x + 1 != g.n2:
+        return _qprime_order("2B2", fam.order_2B2)(g, x)
+    # q' = q: primes of q'-sqrt(2q')+1 and q'+sqrt(2q')+1 are non-adjacent,
+    # so the larger factor must divide a count phi(r) q^4 (q^2-1)^2 / 4.
+    rt = isqrt(2 * x)
+    s_plus = x + rt + 1
+    base = g.q**4 * (g.q * g.q - 1) ** 2 // 4
+    surviving = [r for r in divisors(x - rt + 1)[1:] if (euler_phi(r) * base) % s_plus == 0]
+    if surviving:
+        return NEEDS_MANUAL_LEMMA, f"q'={x}: {s_plus} divides the candidate count for r in {surviving}"
+    return (ELIMINATED,
+            f"q'={x}: {s_plus} divides no candidate count phi(r)q^4(q^2-1)^2/4 with r | {x - rt + 1}")
+
+
+def _psl_n_hits(g, dims):
     # n >= 5 prime: component (q'^n - 1) / ((q'-1)(n, q'-1)).  For each
     # dimension the cyclotomic quotient is strictly increasing in q', so the
     # unique candidate q' comes from bisection (once per value of the gcd).
-    dims = _bounded_params((n for n in _odd_primes() if n >= 5),
-                           lambda n: fam.psl_order(n, 2), go)
-    if not dims:
-        entries.append(_entry(f, "PSLn(q'), n >= 5 prime", ELIMINATED,
-                              "no dimension: |PSL5(2)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        hits = []
-        for n in dims:
-            for d in (1, n):
-                x = _solve_increasing(lambda x, n=n: (x**n - 1) // (x - 1), n2 * d)
-                if x is not None and gcd(n, x - 1) == d and is_prime_power(x):
-                    hits.append((n, x))
-        if not hits:
-            entries.append(_entry(f, "PSLn(q'), n >= 5 prime", ELIMINATED,
-                                  f"no prime power q' solves the component equation for n in {_fmt_params(dims)}",
-                                  AN_OC_TABLES))
-        else:
-            parts = []
-            status = ELIMINATED
-            for n, x in hits:
-                o = fam.psl_order(n, x)
-                if go % o:
-                    parts.append(f"(n,q')=({n},{x}): |PSL{n}({x})| does not divide |G|")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"(n,q')=({n},{x}): unresolved")
-            entries.append(_entry(f, "PSLn(q'), n >= 5 prime", status, "; ".join(parts), AN_ORDER_DIV))
+    hits = []
+    for n in dims:
+        for d in (1, n):
+            x = _solve_increasing(lambda y, n=n: (y**n - 1) // (y - 1), g.n2 * d)
+            if x is not None and gcd(n, x - 1) == d and is_prime_power(x):
+                hits.append((n, x))
+    return hits
 
+
+def _psl_n_kill(g, hit):
+    n, x = hit
+    return _tagged_order(g.go, fam.psl_order(n, x), f"(n,q')=({n},{x})", f"PSL{n}({x})")
+
+
+def _psl_p1_hits(g, dims):
     # n = p+1, p odd prime, q'-1 | p +- 1: component (q'^p - 1)/(q'-1)
-    dims2 = _bounded_params(_odd_primes(), lambda p: fam.psl_order(p + 1, 2), go)
-    if not dims2:
-        entries.append(_entry(f, "PSL(p+1)(q')", ELIMINATED,
-                              "no dimension: |PSL4(2)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        hits2 = []
-        for p in dims2:
-            x = _solve_increasing(lambda x, p=p: (x**p - 1) // (x - 1), n2)
-            if (
-                x is not None
-                and is_prime_power(x)
-                and ((p + 1) % (x - 1) == 0 or (p - 1) % (x - 1) == 0)
-            ):
-                hits2.append((p, x))
-        if not hits2:
-            entries.append(_entry(f, "PSL(p+1)(q')", ELIMINATED,
-                                  f"no prime power q' solves the component equation for p in {_fmt_params(dims2)}",
-                                  AN_OC_TABLES))
-        else:
-            parts = []
-            status = ELIMINATED
-            for p, x in hits2:
-                o = fam.psl_order(p + 1, x)
-                if go % o:
-                    parts.append(f"(p,q')=({p},{x}): |PSL{p+1}({x})| does not divide |G|")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"(p,q')=({p},{x}): unresolved")
-            entries.append(_entry(f, "PSL(p+1)(q')", status, "; ".join(parts), AN_ORDER_DIV))
+    hits = []
+    for p in dims:
+        x = _solve_increasing(lambda y, p=p: (y**p - 1) // (y - 1), g.n2)
+        if x is not None and is_prime_power(x) and ((p + 1) % (x - 1) == 0 or (p - 1) % (x - 1) == 0):
+            hits.append((p, x))
+    return hits
 
-    # n = 3, q' in {2, 4}: finite component list
-    small_vals = (3, 5, 7, 15, 21, 35, 105)
-    if n2 not in small_vals:
-        entries.append(_entry(f, "PSL3(2), PSL3(4)", ELIMINATED,
-                              f"q^2+1 = {n2} is not among {small_vals}", AN_OC_TABLES))
-    else:
-        o2, o4 = fam.psl_order(3, 2), fam.psl_order(3, 4)
-        if go % o2 and go % o4:
-            entries.append(_entry(f, "PSL3(2), PSL3(4)", ELIMINATED,
-                                  f"neither |PSL3(2)| = {o2} nor |PSL3(4)| = {o4} divides |G|",
-                                  AN_ORDER_DIV))
-        else:
-            entries.append(_entry(f, "PSL3(2), PSL3(4)", NEEDS_MANUAL_LEMMA,
-                                  "a small PSL3 order divides |G|", AN_ORDER_DIV))
 
+def _psl_p1_kill(g, hit):
+    p, x = hit
+    return _tagged_order(g.go, fam.psl_order(p + 1, x), f"(p,q')=({p},{x})", f"PSL{p + 1}({x})")
+
+
+def _psl3_hits(g, _):
     # n = 3, q' >= 3: component (q'^2+q'+1)/(3, q'-1); solved by the quadratic
-    # formula for each value of the gcd (q' in {2, 4} handled above)
-    hits3 = []
+    # formula for each value of the gcd (q' in {2, 4} is a case of its own)
+    hits = []
     for d in (1, 3):
-        disc = 4 * d * n2 - 3
+        disc = 4 * d * g.n2 - 3
         s = isqrt(disc)
         if s * s != disc or (s - 1) % 2:
             continue
         x = (s - 1) // 2
         if x >= 3 and x != 4 and is_prime_power(x) and gcd(3, x - 1) == d:
-            hits3.append((d, x))
-    if not hits3:
-        entries.append(_entry(f, "PSL3(q'), q' >= 3", ELIMINATED,
-                              f"no prime power q' >= 3 has component value {n2}", AN_3Q2P2))
-    else:
-        parts = []
-        status = ELIMINATED
-        for d, x in hits3:
-            if d == 3:
-                t = 3 * q * q + 2
-                rem = go % t
-                if rem:
-                    parts.append(
-                        f"q'={x}: q'(q'+1) = 3q^2+2 = {t} must divide |G|; remainder {rem}")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"q'={x}: 3q^2+2 divides |G|")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(
-                    f"q'={x}: q'(q'+1) = q^2 holds numerically, contradicting coprimality")
-        entries.append(_entry(f, "PSL3(q'), q' >= 3", status, "; ".join(parts), AN_3Q2P2))
-
-    # n = 2, q' odd
-    pp = is_prime_power(n2)
-    if pp is None or pp[0] == 2:
-        entries.append(_entry(f, "PSL2(q'), q' = q^2+1", ELIMINATED,
-                              f"q^2+1 = {n2} is not an odd prime power", AN_OC_TABLES))
-    else:
-        rem = go % (n2 + 1)
-        if rem:
-            entries.append(_entry(f, "PSL2(q'), q' = q^2+1", ELIMINATED,
-                                  f"q^2+2 = {n2 + 1} = q'+1 must divide |G|; remainder {rem}",
-                                  AN_Q2P2))
-        else:
-            o = fam.psl_order(2, n2)
-            if go % o:
-                entries.append(_entry(f, "PSL2(q'), q' = q^2+1", ELIMINATED,
-                                      f"|PSL2({n2})| = {o} does not divide |G|", AN_ORDER_DIV))
-            else:
-                hbound = go // o
-                a = build_A_sets(q)
-                amin = min(a.a4 | a.a5)
-                if amin > hbound:
-                    entries.append(_entry(f, "PSL2(q'), q' = q^2+1", ELIMINATED,
-                                          f"min(A4 u A5) = {amin} > {hbound} >= |H|",
-                                          AN_NILPOTENT))
-                else:
-                    entries.append(_entry(f, "PSL2(q'), q' = q^2+1", NEEDS_MANUAL_LEMMA,
-                                          f"min(A4 u A5) = {amin} <= {hbound}", AN_NILPOTENT))
-
-    for label, dv, anchor in (
-        ("PSL2(q'), q' = 2q^2+3", 2 * q * q + 3, AN_2Q2P3),
-        ("PSL2(q'), q' = 2q^2+1", 2 * q * q + 1, AN_2Q2P1),
-    ):
-        rem = go % dv
-        if rem:
-            entries.append(_entry(f, label, ELIMINATED,
-                                  f"q' = {dv} must divide |G| = {go}; remainder {rem}", anchor))
-        else:
-            entries.append(_entry(f, label, NEEDS_MANUAL_LEMMA, f"q' = {dv} divides |G|", anchor))
-
-    disc = 8 * q * q + 9
-    s = isqrt(disc)
-    if s * s != disc:
-        entries.append(_entry(f, "PSL2(q'), q^2+1 = q'(q'-e)/2", ELIMINATED,
-                              f"no integer q': discriminant 8q^2+9 = {disc} is not a perfect square",
-                              AN_SQUARE))
-    else:
-        parts = []
-        status = ELIMINATED
-        for eps in (1, -1):
-            if (eps + s) % 2:
-                continue
-            x = (eps + s) // 2
-            ppx = is_prime_power(x)
-            if x < 5 or ppx is None or ppx[0] == 2:
-                parts.append(f"e={eps:+d}: root {x} is not an odd prime power >= 5")
-                continue
-            odd_factor = x - 2 * eps
-            if odd_factor > 1 and (2 * q * q) % odd_factor == 0:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"e={eps:+d}: odd factor {odd_factor} divides 2q^2")
-            else:
-                parts.append(
-                    f"e={eps:+d}: 2q^2 = ({odd_factor})({x + eps}) has odd factor {odd_factor} > 1 "
-                    "which cannot divide a 2-power"
-                )
-        entries.append(_entry(f, "PSL2(q'), q^2+1 = q'(q'-e)/2", status,
-                              "; ".join(parts) or "integer roots fail the parameter domain",
-                              AN_POWER2))
-
-    v = q * q + 2
-    if power_of_two_exponent(v) is not None and v >= 4:
-        entries.append(_entry(f, "PSL2(q'), q' = q^2+2 even", NEEDS_MANUAL_LEMMA,
-                              f"q^2+2 = {v} is a power of 2", AN_POWER2))
-    else:
-        entries.append(_entry(f, "PSL2(q'), q' = q^2+2 even", ELIMINATED,
-                              f"q^2+2 = {v} = 2 (mod 4) is not a 2-power >= 4", AN_POWER2))
-
-    s2 = isqrt(v)
-    if s2 * s2 == v:
-        entries.append(_entry(f, "PSL2(q'), q'^2 = q^2+2", NEEDS_MANUAL_LEMMA,
-                              f"q^2+2 = {v} is a perfect square", AN_SQUARE))
-    else:
-        entries.append(_entry(f, "PSL2(q'), q'^2 = q^2+2", ELIMINATED,
-                              f"q^2+2 = {v} is not a perfect square", AN_SQUARE))
-
-    entries.append(_entry(
-        f, "PSL2(q^2)", CONFIRMING,
-        f"q' = q^2 = {q * q}: component q'+1 = {n2} matches q^2+1 and the section "
-        "forces oc(G) = oc(PSp4(q))",
-        AN_OC_RECOGNITION,
-    ))
-    return entries
+            hits.append((d, x))
+    return hits
 
 
-def _eliminate_psu(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "PSU"
-    entries = []
+def _psl3_kill(g, hit):
+    d, x = hit
+    if d == 1:
+        return NEEDS_MANUAL_LEMMA, f"q'={x}: q'(q'+1) = q^2 holds numerically, contradicting coprimality"
+    return _must_divide(g.go, g.three_q2p2, f"q'={x}: q'(q'+1) = 3q^2+2 = {g.three_q2p2} must divide |G|",
+                        f"q'={x}: 3q^2+2 divides |G|")
 
-    vals = (5, 7, 11, 77)
-    if n2 not in vals:
-        entries.append(_entry(f, "PSU4(2), PSU6(2)", ELIMINATED,
-                              f"q^2+1 = {n2} is not among {vals}", AN_OC_TABLES))
-    else:
-        o4, o6 = fam.psu_order(4, 2), fam.psu_order(6, 2)
-        if go % o4 and go % o6:
-            entries.append(_entry(f, "PSU4(2), PSU6(2)", ELIMINATED,
-                                  f"neither |PSU4(2)| = {o4} nor |PSU6(2)| = {o6} divides |G|",
-                                  AN_ORDER_DIV))
-        else:
-            entries.append(_entry(f, "PSU4(2), PSU6(2)", NEEDS_MANUAL_LEMMA,
-                                  "a small PSU order divides |G|", AN_ORDER_DIV))
 
-    # n = p with (q'+1, p) = 1, or n = p+1: component (q'^p + 1)/(q'+1).  The
-    # alternating quotient is strictly increasing in q', so bisection finds the
-    # unique candidate per dimension.
+def _psl2_q2p1_kill(g, n2):
+    rem = g.go % (n2 + 1)
+    if rem:
+        return ELIMINATED, f"q^2+2 = {n2 + 1} = q'+1 must divide |G|; remainder {rem}", AN_Q2P2
+    o = fam.psl_order(2, n2)
+    if g.go % o:
+        return ELIMINATED, f"|PSL2({n2})| = {o} does not divide |G|", AN_ORDER_DIV
+    hbound = g.go // o
+    a = build_A_sets(g.q)
+    amin = min(a.a4 | a.a5)
+    if amin > hbound:
+        return ELIMINATED, f"min(A4 u A5) = {amin} > {hbound} >= |H|"
+    return NEEDS_MANUAL_LEMMA, f"min(A4 u A5) = {amin} <= {hbound}"
+
+
+def _psl2_half_kill(g, eps):
+    # q^2+1 = q'(q'-e)/2: the root of q'^2 - e q' - 2(q^2+1) = 0
+    x = (eps + isqrt(8 * g.q * g.q + 9)) // 2
+    if x < 5 or not _odd_prime_power(x):
+        return ELIMINATED, f"e={eps:+d}: root {x} is not an odd prime power >= 5"
+    odd_factor = x - 2 * eps
+    if odd_factor > 1 and (2 * g.q * g.q) % odd_factor == 0:
+        return NEEDS_MANUAL_LEMMA, f"e={eps:+d}: odd factor {odd_factor} divides 2q^2"
+    return (ELIMINATED, f"e={eps:+d}: 2q^2 = ({odd_factor})({x + eps}) has odd factor "
+                        f"{odd_factor} > 1 which cannot divide a 2-power")
+
+
+def _psu_shapes(g):
+    # n = p with (q'+1, p) = 1, or n = p+1: component (q'^p + 1)/(q'+1)
+    return ([("n=p", p) for p in _bounded_params(_odd_primes(), lambda p: fam.psu_order(p, 2), g.go)]
+            + [("n=p+1", p)
+               for p in _bounded_params(_odd_primes(), lambda p: fam.psu_order(p + 1, 2), g.go)])
+
+
+def _psu_hits(g, shapes):
+    # the alternating quotient is strictly increasing in q', so bisection finds
+    # the unique candidate per dimension
     hits = []
-    shapes = []
-    for p in _bounded_params(_odd_primes(), lambda p: fam.psu_order(p, 2), go):
-        shapes.append(("n=p", p))
-    for p in _bounded_params(_odd_primes(), lambda p: fam.psu_order(p + 1, 2), go):
-        shapes.append(("n=p+1", p))
     for shape, p in shapes:
-        x = _solve_increasing(lambda x, p=p: (x**p + 1) // (x + 1), n2)
-        if x is None or not is_prime_power(x):
-            continue
-        if shape == "n=p" and gcd(x + 1, p) != 1:
-            continue
-        hits.append((shape, p, x))
-    if not shapes:
-        entries.append(_entry(f, "PSUn(q'), n = p or p+1", ELIMINATED,
-                              "no dimension: |PSU3(2)| already exceeds |G|", AN_ORDER_DIV))
-    elif not hits:
-        dims_str = _fmt_params(sorted({p for _, p in shapes}))
-        entries.append(_entry(f, "PSUn(q'), n = p or p+1", ELIMINATED,
-                              f"no prime power q' solves the component equation for p in {dims_str}",
-                              AN_OC_TABLES))
-    else:
-        parts = []
-        status = ELIMINATED
-        for shape, p, x in hits:
-            n = p if shape == "n=p" else p + 1
-            o = fam.psu_order(n, x)
-            if go % o:
-                parts.append(f"{shape}, (p,q')=({p},{x}): |PSU{n}({x})| does not divide |G|")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"{shape}, (p,q')=({p},{x}): unresolved")
-        entries.append(_entry(f, "PSUn(q'), n = p or p+1", status, "; ".join(parts), AN_ORDER_DIV))
+        x = _solve_increasing(lambda y, p=p: (y**p + 1) // (y + 1), g.n2)
+        if x is not None and is_prime_power(x) and (shape == "n=p+1" or gcd(x + 1, p) == 1):
+            hits.append((shape, p, x))
+    return hits
 
+
+def _psu_kill(g, hit):
+    shape, p, x = hit
+    n = p if shape == "n=p" else p + 1
+    return _tagged_order(g.go, fam.psu_order(n, x), f"{shape}, (p,q')=({p},{x})", f"PSU{n}({x})")
+
+
+def _psu_p_hits(g, dims):
     # n = p with (q'+1, p) = p: component (q'^p + 1)/((q'+1) p)
-    hits3 = []
-    dims3 = _bounded_params(_odd_primes(), lambda p: fam.psu_order(p, 2), go)
-    for p in dims3:
-        x = _solve_increasing(lambda x, p=p: (x**p + 1) // (x + 1), n2 * p)
+    hits = []
+    for p in dims:
+        x = _solve_increasing(lambda y, p=p: (y**p + 1) // (y + 1), g.n2 * p)
         if x is not None and is_prime_power(x) and gcd(x + 1, p) == p:
-            hits3.append((p, x))
-    if not dims3:
-        entries.append(_entry(f, "PSUp(q'), p | q'+1", ELIMINATED,
-                              "no dimension: |PSU3(2)| already exceeds |G|", AN_ORDER_DIV))
-    elif not hits3:
-        entries.append(_entry(f, "PSUp(q'), p | q'+1", ELIMINATED,
-                              f"no prime power q' solves the component equation for p in {_fmt_params(dims3)}",
-                              AN_OC_TABLES))
-    else:
-        parts = []
-        status = ELIMINATED
-        for p, x in hits3:
-            if p == 3:
-                t = 3 * q * q + 2
-                rem = go % t
-                if rem:
-                    parts.append(f"(p,q')=({p},{x}): 3q^2+2 = {t} must divide |G|; remainder {rem}")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"(p,q')=({p},{x}): 3q^2+2 divides |G|")
-            else:
-                o = fam.psu_order(p, x)
-                if go % o:
-                    parts.append(f"(p,q')=({p},{x}): |PSU{p}({x})| does not divide |G|")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"(p,q')=({p},{x}): unresolved")
-        entries.append(_entry(f, "PSUp(q'), p | q'+1", status, "; ".join(parts), AN_3Q2P2))
-    return entries
+            hits.append((p, x))
+    return hits
 
 
-def _eliminate_psp(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "PSp"
-    entries = []
+def _psu_p_kill(g, hit):
+    p, x = hit
+    if p == 3:
+        return _must_divide(g.go, g.three_q2p2, f"(p,q')=({p},{x}): 3q^2+2 = {g.three_q2p2} must divide |G|",
+                            f"(p,q')=({p},{x}): 3q^2+2 divides |G|")
+    return _tagged_order(g.go, fam.psu_order(p, x), f"(p,q')=({p},{x})", f"PSU{p}({x})")
 
+
+def _psp_prime(qp):
     # n = p odd prime, q' in {2, 3}: component (q'^p - 1)/(2, q'-1)
-    for qp in (2, 3):
-        dims = _bounded_params(_odd_primes(), lambda p, qp=qp: fam.psp_order(p, qp), go)
-        case = f"PSp2p({qp})"
-        if not dims:
-            entries.append(_entry(f, case, ELIMINATED,
-                                  f"no dimension: |PSp6({qp})| already exceeds |G|", AN_ORDER_DIV))
-            continue
-        hits = [p for p in dims if (qp**p - 1) // gcd(2, qp - 1) == n2]
-        if not hits:
-            entries.append(_entry(f, case, ELIMINATED,
-                                  f"no p in {_fmt_params(dims)} solves (q'^p-1)/({gcd(2, qp - 1)}) = {n2}",
-                                  AN_OC_TABLES))
-        else:
-            parts = []
-            status = ELIMINATED
-            for p in hits:
-                o = fam.psp_order(p, qp)
-                if go % o:
-                    parts.append(f"p={p}: |PSp{2*p}({qp})| does not divide |G|")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"p={p}: unresolved")
-            entries.append(_entry(f, case, status, "; ".join(parts), AN_ORDER_DIV))
+    d = gcd(2, qp - 1)
+    return _Case(
+        "PSp", f"PSp2p({qp})",
+        hits=lambda g, dims: [p for p in dims if (qp**p - 1) // d == g.n2],
+        kill=lambda g, p: _tagged_order(g.go, fam.psp_order(p, qp), f"p={p}", f"PSp{2 * p}({qp})"),
+        anchor=AN_ORDER_DIV,
+        miss=lambda g, dims: f"no p in {_fmt_params(dims)} solves (q'^p-1)/({d}) = {g.n2}",
+        params=lambda g: _bounded_params(_odd_primes(), lambda p: fam.psp_order(p, qp), g.go),
+        empty=f"no dimension: |PSp6({qp})| already exceeds |G|",
+    )
 
+
+def _psp_even_kill(g, n):
     # n = 2^m >= 2, q' even: q^2 = q'^n
-    entries.append(_entry(
-        f, "PSp4(q)", CONFIRMING,
-        f"q' = q = {q}: |PSp4({q})| = |G| forces H = 1 and G = K",
-        AN_OC_RECOGNITION,
-    ))
-    even_dims = []
-    n = 4
-    while fam.psp_order(n, 2) <= go:
-        even_dims.append(n)
-        n *= 2
-    if not even_dims:
-        entries.append(_entry(f, "PSp2n(q'), q' even, n = 2^m >= 4", ELIMINATED,
-                              "no dimension: |PSp8(2)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        ftwo = power_of_two_exponent(q)
-        parts = []
-        status = ELIMINATED
-        for n in even_dims:
-            if (2 * ftwo) % n:
-                parts.append(f"n={n}: q^2 = 2^{2 * ftwo} is not an n-th power")
-                continue
-            x = 1 << (2 * ftwo // n)
-            o = fam.psp_order(n, x)
-            if go % o:
-                parts.append(f"n={n}, q'={x}: |PSp{2*n}({x})| = {o} does not divide |G|")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"n={n}, q'={x}: unresolved")
-        entries.append(_entry(f, "PSp2n(q'), q' even, n = 2^m >= 4", status,
-                              "; ".join(parts), AN_ORDER_DIV))
+    f2 = 2 * power_of_two_exponent(g.q)
+    if f2 % n:
+        return ELIMINATED, f"n={n}: q^2 = 2^{f2} is not an n-th power"
+    x = 1 << (f2 // n)
+    o = fam.psp_order(n, x)
+    return _kill(g.go, o, f"n={n}, q'={x}: |PSp{2 * n}({x})| = {o} does not divide |G|",
+                 f"n={n}, q'={x}: unresolved")
 
+
+def _psp_odd_params(g):
     # n = 2^m >= 2, q' odd: 2q^2+1 = q'^n
-    target = 2 * q * q + 1
-    odd_dims = []
-    n = 2
-    while fam.psp_order(n, 3) <= go and 3**n <= target:
-        odd_dims.append(n)
-        n *= 2
-    if not odd_dims:
-        entries.append(_entry(f, "PSp2n(q'), q' odd, n = 2^m", ELIMINATED,
-                              "no dimension with |PSp2n(3)| <= |G| and 3^n <= 2q^2+1", AN_ORDER_DIV))
-    else:
-        parts = []
-        status = ELIMINATED
-        for n in odd_dims:
-            root = nth_root(target, n)
-            if root**n != target:
-                parts.append(f"n={n}: 2q^2+1 = {target} is not a perfect n-th power")
-                continue
-            ppr = is_prime_power(root)
-            if ppr is None or ppr[0] == 2:
-                parts.append(f"n={n}: root {root} is not an odd prime power")
-                continue
-            rem = go % target
-            if rem:
-                parts.append(f"n={n}, q'={root}: 2q^2+1 = {target} must divide |G|; remainder {rem}")
-            else:
-                status = NEEDS_MANUAL_LEMMA
-                parts.append(f"n={n}, q'={root}: 2q^2+1 divides |G|")
-        entries.append(_entry(f, "PSp2n(q'), q' odd, n = 2^m", status,
-                              "; ".join(parts), AN_CRESCENZO))
-    return entries
+    dims = _bounded_params(_two_powers(2), lambda n: fam.psp_order(n, 3), g.go)
+    return [n for n in dims if 3**n <= g.two_q2p1]
 
 
-def _root_hits(target: int, exponents, odd_only=True):
-    """(exponent, root) pairs with root^exponent = target, root an odd prime power."""
+def _psp_odd_kill(g, n):
+    root = nth_root(g.two_q2p1, n)
+    if root**n != g.two_q2p1:
+        return ELIMINATED, f"n={n}: 2q^2+1 = {g.two_q2p1} is not a perfect n-th power"
+    if not _odd_prime_power(root):
+        return ELIMINATED, f"n={n}: root {root} is not an odd prime power"
+    return _must_divide(g.go, g.two_q2p1, f"n={n}, q'={root}: 2q^2+1 = {g.two_q2p1} must divide |G|",
+                        f"n={n}, q'={root}: 2q^2+1 divides |G|")
+
+
+def _b_odd_kill(g, hit):
+    # B_m(q'), m = 2^t >= 4, q' odd: 2q^2+1 = q'^m
+    m, root = hit
+    return _must_divide(g.go, g.two_q2p1, f"m={m}, q'={root}: 2q^2+1 must divide |G|",
+                        f"m={m}, q'={root}: unresolved")
+
+
+def _dplus_params(g):
+    # D+_m(q'), m >= 5 odd prime, q' in {2,3,5}: (q'^m - 1)/(q'-1)
     out = []
-    for m in exponents:
-        root = nth_root(target, m)
-        if root**m != target:
-            continue
-        pp = is_prime_power(root)
-        if pp is None or (odd_only and pp[0] == 2):
-            continue
-        out.append((m, root))
+    for qp in (2, 3, 5):
+        dims = _bounded_params((m for m in _odd_primes() if m >= 5),
+                               lambda m: fam.pomega_plus_order(m, qp), g.go)
+        if dims:
+            out.append((qp, dims))
     return out
 
 
-def _eliminate_pomega(q: int) -> list[TraceEntry]:
-    n2 = q * q + 1
-    go = group_order(q)
-    f = "POmega"
-    entries = []
-    target = 2 * q * q + 1
-
-    def two_powers_from(start):
-        m = start
-        while True:
-            yield m
-            m *= 2
-
-    # (1) B_m(q'), m = 2^t >= 4, q' odd: 2q^2+1 = q'^m
-    dims = _bounded_params(two_powers_from(4), lambda m: fam.omega_odd_order(m, 3), go)
-    if not dims:
-        entries.append(_entry(f, "B_m(q'), m = 2^t >= 4", ELIMINATED,
-                              "no dimension: |B4(3)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        hits = _root_hits(target, dims)
-        if not hits:
-            entries.append(_entry(f, "B_m(q'), m = 2^t >= 4", ELIMINATED,
-                                  f"2q^2+1 = {target} is not q'^m for m in {_fmt_params(dims)}",
-                                  AN_CRESCENZO))
-        else:
-            parts = []
-            status = ELIMINATED
-            for m, root in hits:
-                rem = go % target
-                if rem:
-                    parts.append(f"m={m}, q'={root}: 2q^2+1 must divide |G|; remainder {rem}")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"m={m}, q'={root}: unresolved")
-            entries.append(_entry(f, "B_m(q'), m = 2^t >= 4", status, "; ".join(parts), AN_2Q2P1))
-
-    # (2) B_m(3), m odd prime: (3^m - 1)/2
-    dims = _bounded_params(_odd_primes(), lambda m: fam.omega_odd_order(m, 3), go)
-    entries.append(_search_entry(
-        f, "B_m(3), m odd prime", AN_POWER2, dims,
-        lambda m: ((3**m - 1) // 2,), n2,
-        on_hit=lambda m: (NEEDS_MANUAL_LEMMA, f"m={m}: 2q^2 = 3^m - 3 holds despite 3 not dividing 2q^2"),
-    ))
-
-    # (3) D+_m(q'), m >= 5 odd prime, q' in {2,3,5}: (q'^m - 1)/(q'-1)
-    parts = []
-    status = ELIMINATED
-    any_dims = False
-    for qp in (2, 3, 5):
-        dims = _bounded_params((m for m in _odd_primes() if m >= 5),
-                               lambda m, qp=qp: fam.pomega_plus_order(m, qp), go)
-        if not dims:
-            continue
-        any_dims = True
-        hits = [m for m in dims if (qp**m - 1) // (qp - 1) == n2]
-        for m in hits:
-            status = NEEDS_MANUAL_LEMMA
-            parts.append(f"q'={qp}, m={m}: unresolved")
-        if not hits:
-            parts.append(f"q'={qp}: no m in {_fmt_params(dims)}")
-    if not any_dims:
-        entries.append(_entry(f, "D+_m(q'), m >= 5 prime", ELIMINATED,
-                              "no dimension: |D+5(2)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        entries.append(_entry(f, "D+_m(q'), m >= 5 prime", status,
-                              "; ".join(parts), AN_OC_TABLES))
-
-    # (4) D+_{m+1}(3), m odd prime: (3^m - 1)/2
-    dims = _bounded_params(_odd_primes(), lambda m: fam.pomega_plus_order(m + 1, 3), go)
-    entries.append(_search_entry(
-        f, "D+_{m+1}(3), m odd prime", AN_POWER2, dims,
-        lambda m: ((3**m - 1) // 2,), n2,
-        on_hit=lambda m: (NEEDS_MANUAL_LEMMA, f"m={m}: 2q^2 = 3^m - 3 holds despite 3 not dividing 2q^2"),
-    ))
-
-    # (5) D-_m(q'), m = 2^t >= 4
-    dims = _bounded_params(two_powers_from(4), lambda m: fam.pomega_minus_order(m, 2), go)
-    if not dims:
-        entries.append(_entry(f, "D-_m(q'), m = 2^t >= 4", ELIMINATED,
-                              "no dimension: |D-4(2)| already exceeds |G|", AN_ORDER_DIV))
-    else:
-        parts = []
-        status = ELIMINATED
-        ftwo = power_of_two_exponent(q)
-        for m in dims:
-            hits = _root_hits(target, [m])
-            if hits:
-                _, root = hits[0]
-                rem = go % target
-                if rem:
-                    parts.append(f"m={m}, q'={root} odd: 2q^2+1 must divide |G|; remainder {rem}")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"m={m}, q'={root} odd: unresolved")
-            else:
-                parts.append(f"m={m}: 2q^2+1 = {target} is not an odd q'^m")
-            if (2 * ftwo) % m == 0:
-                x = 1 << (2 * ftwo // m)
-                o = fam.pomega_minus_order(m, x)
-                if go % o:
-                    parts.append(f"m={m}, q'={x} even: |D-{m}({x})| does not divide |G|")
-                else:
-                    status = NEEDS_MANUAL_LEMMA
-                    parts.append(f"m={m}, q'={x} even: unresolved")
-            else:
-                parts.append(f"m={m}: q^2 = 2^{2 * ftwo} is not an m-th power")
-        entries.append(_entry(f, "D-_m(q'), m = 2^t >= 4", status, "; ".join(parts), AN_ORDER_DIV))
-
-    # (6) D-_m(3), m >= 5 odd prime, m != 2^t+1: (3^m + 1)/4
-    dims = _bounded_params(
-        (m for m in _odd_primes() if m >= 5 and power_of_two_exponent(m - 1) is None),
-        lambda m: fam.pomega_minus_order(m, 3), go)
-    entries.append(_search_entry(
-        f, "D-_m(3), m >= 5 prime, m != 2^t+1", AN_POWER2, dims,
-        lambda m: ((3**m + 1) // 4,), n2,
-        on_hit=lambda m: (NEEDS_MANUAL_LEMMA, f"m={m}: 4q^2 = 3^m - 3 holds despite 3 not dividing 4q^2"),
-    ))
-
-    def two_t_plus_one():
-        t = 2
-        while True:
-            yield (1 << t) + 1
-            t += 1
-
-    # (7) D-_m(3), m = 2^t+1 >= 5 not prime: (3^{m-1} + 1)/2
-    dims = _bounded_params((m for m in two_t_plus_one() if not is_prime(m)),
-                           lambda m: fam.pomega_minus_order(m, 3), go)
-    entries.append(_search_entry(
-        f, "D-_m(3), m = 2^t+1 not prime", AN_CRESCENZO, dims,
-        lambda m: ((3 ** (m - 1) + 1) // 2,), n2,
-        on_hit=lambda m: (NEEDS_MANUAL_LEMMA, f"m={m}: 2q^2+1 = 3^(m-1) unresolved"),
-    ))
-
-    # (8) D-_m(3), m = 2^t+1 >= 5 prime: three candidate values
-    dims = _bounded_params((m for m in two_t_plus_one() if is_prime(m)),
-                           lambda m: fam.pomega_minus_order(m, 3), go)
-
-    def case8_kill(m):
-        v1 = (3 ** (m - 1) + 1) // 2
-        if n2 == v1:
-            rem = go % target
-            if rem:
-                return (ELIMINATED, f"m={m}: 2q^2+1 = 3^(m-1) must divide |G|; remainder {rem}")
-            return (NEEDS_MANUAL_LEMMA, f"m={m}: 2q^2+1 divides |G|")
-        return (NEEDS_MANUAL_LEMMA, f"m={m}: unresolved candidate value")
-
-    entries.append(_search_entry(
-        f, "D-_m(3), m = 2^t+1 prime", AN_2Q2P1, dims,
-        lambda m: (
-            (3 ** (m - 1) + 1) // 2,
-            (3**m + 1) // 4,
-            ((3 ** (m - 1) + 1) // 2) * ((3**m + 1) // 4),
-        ),
-        n2, on_hit=case8_kill,
-    ))
-
-    # (9) D-_{m+1}(2), m prime, m+1 != 2^t: 2^m - 1
-    dims = _bounded_params(
-        (m for m in _odd_primes() if power_of_two_exponent(m + 1) is None),
-        lambda m: fam.pomega_minus_order(m + 1, 2), go)
-    entries.append(_search_entry(
-        f, "D-_{m+1}(2), m prime", AN_POWER2, dims,
-        lambda m: (2**m - 1,), n2,
-        on_hit=lambda m: (NEEDS_MANUAL_LEMMA, f"m={m}: q^2+2 = 2^m despite q^2+2 = 2 (mod 4)"),
-    ))
-
-    # (10) D-_m(2), m = p+1, p odd prime: 2^p+1, 2^{p+1}+1, or their product
-    dims = _bounded_params(_odd_primes(), lambda p: fam.pomega_minus_order(p + 1, 2), go)
-
-    def case10_kill(p):
-        if n2 == 2**p + 1:
-            return (NEEDS_MANUAL_LEMMA, f"p={p}: 2f = p despite p odd")
-        if n2 == 2 ** (p + 1) + 1:
-            o = fam.pomega_minus_order(p + 1, 2)
-            if go % o:
-                return (ELIMINATED, f"p={p}: |D-{p+1}(2)| = {o} does not divide |G|")
-            return (NEEDS_MANUAL_LEMMA, f"p={p}: order divides |G|")
-        return (NEEDS_MANUAL_LEMMA, f"p={p}: product case holds numerically")
-
-    entries.append(_search_entry(
-        f, "D-_{p+1}(2), p odd prime", AN_POWER2, dims,
-        lambda p: (2**p + 1, 2 ** (p + 1) + 1, (2**p + 1) * (2 ** (p + 1) + 1)),
-        n2, on_hit=case10_kill,
-    ))
-    return entries
+def _dplus_kill(g, hit):
+    qp, dims = hit
+    ms = [m for m in dims if (qp**m - 1) // (qp - 1) == g.n2]
+    if ms:
+        return NEEDS_MANUAL_LEMMA, "; ".join(f"q'={qp}, m={m}: unresolved" for m in ms)
+    return ELIMINATED, f"q'={qp}: no m in {_fmt_params(dims)}"
 
 
-_ELIMINATORS = {
-    "Alternating": _eliminate_alternating,
-    "Sporadic": _eliminate_sporadic,
-    "Tits": _eliminate_tits,
-    "Exceptional": _eliminate_exceptional,
-    "PSL": _eliminate_psl,
-    "PSU": _eliminate_psu,
-    "PSp": _eliminate_psp,
-    "POmega": _eliminate_pomega,
-}
+def _dminus_kill(g, hit):
+    # D-_m(q'), m = 2^t >= 4: 2q^2+1 = q'^m for odd q', q^2 = q'^m for even q'
+    m, odd = hit
+    if odd:
+        roots = _root_hits(g.two_q2p1, [m])
+        if not roots:
+            return ELIMINATED, f"m={m}: 2q^2+1 = {g.two_q2p1} is not an odd q'^m"
+        root = roots[0][1]
+        return _must_divide(g.go, g.two_q2p1, f"m={m}, q'={root} odd: 2q^2+1 must divide |G|",
+                            f"m={m}, q'={root} odd: unresolved")
+    f2 = 2 * power_of_two_exponent(g.q)
+    if f2 % m:
+        return ELIMINATED, f"m={m}: q^2 = 2^{f2} is not an m-th power"
+    x = 1 << (f2 // m)
+    return _tagged_order(g.go, fam.pomega_minus_order(m, x), f"m={m}, q'={x} even", f"D-{m}({x})")
+
+
+def _dminus_fermat_kill(g, m):
+    if g.n2 == (3 ** (m - 1) + 1) // 2:
+        return _must_divide(g.go, g.two_q2p1, f"m={m}: 2q^2+1 = 3^(m-1) must divide |G|",
+                            f"m={m}: 2q^2+1 divides |G|")
+    return NEEDS_MANUAL_LEMMA, f"m={m}: unresolved candidate value"
+
+
+def _dminus_two_kill(g, p):
+    if g.n2 == 2**p + 1:
+        return NEEDS_MANUAL_LEMMA, f"p={p}: 2f = p despite p odd"
+    if g.n2 == 2 ** (p + 1) + 1:
+        o = fam.pomega_minus_order(p + 1, 2)
+        return _kill(g.go, o, f"p={p}: |D-{p+1}(2)| = {o} does not divide |G|",
+                     f"p={p}: order divides |G|")
+    return NEEDS_MANUAL_LEMMA, f"p={p}: product case holds numerically"
+
+
+_A56 = (3, 5, 15)
+_THREE_POWER = _open(lambda g, m: f"m={m}: 2q^2 = 3^m - 3 holds despite 3 not dividing 2q^2")
+
+# Every candidate family of simple sections K/H, case by case, in trace order.
+_CASES: tuple[_Case, ...] = (
+    _Case("Alternating", "degree 5 or 6", _member(_A56),
+          _open(lambda g, n2: f"q^2+1 = {n2} matches a degree-5/6 odd component"), AN_OC_TABLES,
+          miss=lambda g, _: f"q^2+1 = {g.n2} is not one of {_A56}"),
+    _Case("Alternating", "q^2+1 = p",
+          lambda g, _: [g.q**4 - 9] if is_prime(g.n2) else [],
+          lambda g, d: _must_divide(g.go, d, f"would force q^4-9 = {d} to divide |G| = {g.go}",
+                                    f"q^4-9 = {d} divides |G|"),
+          AN_Q4M9, miss=lambda g, _: f"q^2+1 = {g.n2} is not prime"),
+    _Case("Alternating", "q^2+1 = p-2",
+          lambda g, _: [g.n2 + 2] if is_prime(g.n2 + 2) else [],
+          lambda g, p: _kill(g.go, p, f"q^2+3 = {p} does not divide |G| = {g.go} (remainder {g.go % p})",
+                             f"q^2+3 = {p} divides |G|"),
+          AN_ORDER_DIV, miss=lambda g, _: f"q^2+3 = {g.n2 + 2} is not prime"),
+    _Case("Alternating", "q^2+1 = p(p-2)",
+          lambda g, _: [g.n2 + 1] if _is_square(g.n2 + 1) else [],
+          _open(lambda g, v: f"q^2+2 = {v} is a perfect square"), AN_SQUARE,
+          miss=lambda g, _: (f"q^2+1 = p(p-2) forces q^2+2 = (p-1)^2, but {g.n2 + 1} "
+                             "is not a perfect square"),
+          miss_anchor=AN_SQUARE),
+    *(_named("Sporadic", grp.name, grp.order, grp.odd_components,
+             "odd order components {components} exclude q^2+1 = {n2}")
+      for grp in fam.SPORADIC_GROUPS),
+    _named("Tits", fam.TITS_GROUP.name, fam.TITS_GROUP.order, fam.TITS_GROUP.odd_components,
+           "odd order components {components} exclude q^2+1 = {n2}", matched=False),
+    _Case("Exceptional", "2B2(q')",
+          lambda g, xs: [x for x in xs if g.n2 in _suzuki_values(x)], _suzuki_kill, AN_SYLOW,
+          miss=lambda g, xs: f"no parameter in {_fmt_params(xs)} yields odd component {g.n2}",
+          params=lambda g: _odd_two_power_candidates(2, g.go, fam.order_2B2),
+          empty="no candidate parameter: |2B2(8)| already exceeds |G|"),
+    _scan_pp("Exceptional", "G2", fam.order_G2,
+             lambda x: (cyclotomic_eval(3, x), cyclotomic_eval(6, x), cyclotomic_eval(3, x * x))),
+    _scan_pp("Exceptional", "3D4", fam.order_3D4, lambda x: (cyclotomic_eval(12, x),)),
+    _scan("Exceptional", "2G2(q')",
+          lambda g: _odd_two_power_candidates(3, g.go, fam.order_2G2),
+          lambda x: (twisted_cyclotomic_eval(6, 1, x), twisted_cyclotomic_eval(6, -1, x),
+                     cyclotomic_eval(6, x)),
+          _qprime_order("2G2", fam.order_2G2)),
+    _scan_pp("Exceptional", "F4", fam.order_F4,
+             lambda x: (x**4 + 1, x**4 - x * x + 1, x**8 - x**6 + 2 * x**4 - x * x + 1)),
+    _scan("Exceptional", "2F4(q')",
+          lambda g: _odd_two_power_candidates(2, g.go, fam.order_2F4),
+          lambda x: (twisted_cyclotomic_eval(12, 1, x), twisted_cyclotomic_eval(12, -1, x),
+                     cyclotomic_eval(12, x)),
+          _qprime_order("2F4", fam.order_2F4)),
+    _scan_pp("Exceptional", "E6", fam.order_E6, lambda x: (cyclotomic_eval(9, x),),
+             keep=lambda x: x % 3 != 1, case="E6(q'), q' = 0,-1 (mod 3)"),
+    _scan("Exceptional", "E6(q'), q' = 1 (mod 3)",
+          lambda g: _pp_candidates(g.go, fam.order_E6, keep=lambda x: x % 3 == 1),
+          lambda x: (x**6 + x**3,), _e6_special_kill, AN_3Q2P2, AN_3Q2P2,
+          target=lambda g: g.three_q2p2),
+    _scan_pp("Exceptional", "2E6", fam.order_2E6, lambda x: (cyclotomic_eval(18, x),),
+             keep=lambda x: x % 3 != 2, case="2E6(q'), q' = 0,1 (mod 3)"),
+    _scan("Exceptional", "2E6(q'), q' = -1 (mod 3)",
+          lambda g: _pp_candidates(g.go, fam.order_2E6, keep=lambda x: x % 3 == 2),
+          lambda x: (x**6 - x**3,), _e6_special_kill, AN_3Q2P2, AN_3Q2P2,
+          target=lambda g: g.three_q2p2),
+    *(_named("Exceptional", name, order, vals, "q^2+1 = {n2} is not among the components {components}")
+      for name, order, vals in fam.E_GROUP_CASES),
+    _scan_pp("Exceptional", "E8", fam.order_E8, _e8_values),
+    _Case("PSL", "PSLn(q'), n >= 5 prime", _psl_n_hits, _psl_n_kill, AN_ORDER_DIV, miss=_no_root("n"),
+          params=_dims(lambda n: fam.psl_order(n, 2), lambda: (n for n in _odd_primes() if n >= 5)),
+          empty="no dimension: |PSL5(2)| already exceeds |G|"),
+    _Case("PSL", "PSL(p+1)(q')", _psl_p1_hits, _psl_p1_kill, AN_ORDER_DIV, miss=_no_root("p"),
+          params=_dims(lambda p: fam.psl_order(p + 1, 2)),
+          empty="no dimension: |PSL4(2)| already exceeds |G|"),
+    _small_pair("PSL", "PSL3", (3, 5, 7, 15, 21, 35, 105),
+                "PSL3(2)", fam.psl_order(3, 2), "PSL3(4)", fam.psl_order(3, 4)),
+    _Case("PSL", "PSL3(q'), q' >= 3", _psl3_hits, _psl3_kill, AN_3Q2P2,
+          miss=lambda g, _: f"no prime power q' >= 3 has component value {g.n2}",
+          miss_anchor=AN_3Q2P2),
+    _Case("PSL", "PSL2(q'), q' = q^2+1",
+          lambda g, _: [g.n2] if _odd_prime_power(g.n2) else [], _psl2_q2p1_kill, AN_NILPOTENT,
+          miss=lambda g, _: f"q^2+1 = {g.n2} is not an odd prime power"),
+    _Case("PSL", "PSL2(q'), q' = 2q^2+3", _always(lambda g: g.two_q2p1 + 2), _qprime_divides, AN_2Q2P3),
+    _Case("PSL", "PSL2(q'), q' = 2q^2+1", _always(lambda g: g.two_q2p1), _qprime_divides, AN_2Q2P1),
+    _Case("PSL", "PSL2(q'), q^2+1 = q'(q'-e)/2",
+          lambda g, _: [1, -1] if _is_square(8 * g.q * g.q + 9) else [], _psl2_half_kill, AN_POWER2,
+          miss=lambda g, _: (f"no integer q': discriminant 8q^2+9 = {8 * g.q * g.q + 9} "
+                             "is not a perfect square"),
+          miss_anchor=AN_SQUARE),
+    _Case("PSL", "PSL2(q'), q' = q^2+2 even",
+          lambda g, _: [g.n2 + 1] if g.n2 + 1 >= 4 and power_of_two_exponent(g.n2 + 1) is not None else [],
+          _open(lambda g, v: f"q^2+2 = {v} is a power of 2"), AN_POWER2,
+          miss=lambda g, _: f"q^2+2 = {g.n2 + 1} = 2 (mod 4) is not a 2-power >= 4",
+          miss_anchor=AN_POWER2),
+    _Case("PSL", "PSL2(q'), q'^2 = q^2+2",
+          lambda g, _: [g.n2 + 1] if _is_square(g.n2 + 1) else [],
+          _open(lambda g, v: f"q^2+2 = {v} is a perfect square"), AN_SQUARE,
+          miss=lambda g, _: f"q^2+2 = {g.n2 + 1} is not a perfect square", miss_anchor=AN_SQUARE),
+    _confirming("PSL", "PSL2(q^2)",
+                lambda g: (f"q' = q^2 = {g.q * g.q}: component q'+1 = {g.n2} matches q^2+1 "
+                           "and the section forces oc(G) = oc(PSp4(q))")),
+    _small_pair("PSU", "PSU", (5, 7, 11, 77),
+                "PSU4(2)", fam.psu_order(4, 2), "PSU6(2)", fam.psu_order(6, 2)),
+    _Case("PSU", "PSUn(q'), n = p or p+1", _psu_hits, _psu_kill, AN_ORDER_DIV,
+          miss=lambda g, shapes: _no_root("p")(g, sorted({p for _, p in shapes})),
+          params=_psu_shapes, empty="no dimension: |PSU3(2)| already exceeds |G|"),
+    _Case("PSU", "PSUp(q'), p | q'+1", _psu_p_hits, _psu_p_kill, AN_3Q2P2, miss=_no_root("p"),
+          params=_dims(lambda p: fam.psu_order(p, 2)),
+          empty="no dimension: |PSU3(2)| already exceeds |G|"),
+    _psp_prime(2),
+    _psp_prime(3),
+    _confirming("PSp", "PSp4(q)",
+                lambda g: f"q' = q = {g.q}: |PSp4({g.q})| = |G| forces H = 1 and G = K"),
+    _Case("PSp", "PSp2n(q'), q' even, n = 2^m >= 4", _every, _psp_even_kill, AN_ORDER_DIV,
+          params=_dims(lambda n: fam.psp_order(n, 2), lambda: _two_powers(4)),
+          empty="no dimension: |PSp8(2)| already exceeds |G|"),
+    _Case("PSp", "PSp2n(q'), q' odd, n = 2^m", _every, _psp_odd_kill, AN_CRESCENZO,
+          params=_psp_odd_params,
+          empty="no dimension with |PSp2n(3)| <= |G| and 3^n <= 2q^2+1"),
+    _Case("POmega", "B_m(q'), m = 2^t >= 4", lambda g, dims: _root_hits(g.two_q2p1, dims),
+          _b_odd_kill, AN_2Q2P1,
+          miss=lambda g, dims: f"2q^2+1 = {g.two_q2p1} is not q'^m for m in {_fmt_params(dims)}",
+          miss_anchor=AN_CRESCENZO,
+          params=_dims(lambda m: fam.omega_odd_order(m, 3), lambda: _two_powers(4)),
+          empty="no dimension: |B4(3)| already exceeds |G|"),
+    _scan("POmega", "B_m(3), m odd prime", _dims(lambda m: fam.omega_odd_order(m, 3)),
+          lambda m: ((3**m - 1) // 2,), _THREE_POWER, AN_POWER2, AN_POWER2),
+    _Case("POmega", "D+_m(q'), m >= 5 prime", _every, _dplus_kill, AN_OC_TABLES,
+          params=_dplus_params, empty="no dimension: |D+5(2)| already exceeds |G|"),
+    _scan("POmega", "D+_{m+1}(3), m odd prime",
+          _dims(lambda m: fam.pomega_plus_order(m + 1, 3)),
+          lambda m: ((3**m - 1) // 2,), _THREE_POWER, AN_POWER2, AN_POWER2),
+    _Case("POmega", "D-_m(q'), m = 2^t >= 4",
+          lambda g, dims: [(m, odd) for m in dims for odd in (True, False)], _dminus_kill,
+          AN_ORDER_DIV,
+          params=_dims(lambda m: fam.pomega_minus_order(m, 2), lambda: _two_powers(4)),
+          empty="no dimension: |D-4(2)| already exceeds |G|"),
+    _scan("POmega", "D-_m(3), m >= 5 prime, m != 2^t+1",
+          _dims(lambda m: fam.pomega_minus_order(m, 3),
+                lambda: (m for m in _odd_primes() if m >= 5 and power_of_two_exponent(m - 1) is None)),
+          lambda m: ((3**m + 1) // 4,),
+          _open(lambda g, m: f"m={m}: 4q^2 = 3^m - 3 holds despite 3 not dividing 4q^2"),
+          AN_POWER2, AN_POWER2),
+    _scan("POmega", "D-_m(3), m = 2^t+1 not prime",
+          _dims(lambda m: fam.pomega_minus_order(m, 3),
+                lambda: (m for m in _two_t_plus_one() if not is_prime(m))),
+          lambda m: ((3 ** (m - 1) + 1) // 2,),
+          _open(lambda g, m: f"m={m}: 2q^2+1 = 3^(m-1) unresolved"), AN_CRESCENZO, AN_CRESCENZO),
+    _scan("POmega", "D-_m(3), m = 2^t+1 prime",
+          _dims(lambda m: fam.pomega_minus_order(m, 3),
+                lambda: (m for m in _two_t_plus_one() if is_prime(m))),
+          lambda m: ((3 ** (m - 1) + 1) // 2, (3**m + 1) // 4,
+                     ((3 ** (m - 1) + 1) // 2) * ((3**m + 1) // 4)),
+          _dminus_fermat_kill, AN_2Q2P1, AN_2Q2P1),
+    _scan("POmega", "D-_{m+1}(2), m prime",
+          _dims(lambda m: fam.pomega_minus_order(m + 1, 2),
+                lambda: (m for m in _odd_primes() if power_of_two_exponent(m + 1) is None)),
+          lambda m: (2**m - 1,),
+          _open(lambda g, m: f"m={m}: q^2+2 = 2^m despite q^2+2 = 2 (mod 4)"), AN_POWER2, AN_POWER2),
+    _scan("POmega", "D-_{p+1}(2), p odd prime",
+          _dims(lambda p: fam.pomega_minus_order(p + 1, 2)),
+          lambda p: (2**p + 1, 2 ** (p + 1) + 1, (2**p + 1) * (2 ** (p + 1) + 1)),
+          _dminus_two_kill, AN_POWER2, AN_POWER2),
+)
 
 
 def eliminate_family(q: int, family: str) -> list[TraceEntry]:
     """Trace entries for one candidate family of simple sections."""
     validate_q(q)
-    if family not in _ELIMINATORS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _ELIMINATORS[family](q)
+    g = _G(q, group_order(q))
+    return [_run_case(row, g) for row in _CASES if row.family == family]
 
 
 def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
@@ -1274,11 +990,9 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     a_sets = build_A_sets(q)
     table = nse_table(q)
     checks = []
-    checks.append(PrimeCountCheck(2, table.counts[2], "A2", prime_count_membership(q, 2, table.counts[2])))
-    for r in prime_divisors(q * q + 1):
-        checks.append(PrimeCountCheck(r, table.counts[r], "A9", prime_count_membership(q, r, table.counts[r])))
-    for r in prime_divisors(q * q - 1):
-        checks.append(PrimeCountCheck(r, table.counts[r], "A4|A5", prime_count_membership(q, r, table.counts[r])))
+    for r in (2, *prime_divisors(q * q + 1), *prime_divisors(q * q - 1)):
+        bucket, allowed = _count_bucket(q, r, a_sets)
+        checks.append(PrimeCountCheck(r, table.counts[r], bucket, table.counts[r] in allowed))
     separated = separation_check(q)
     excluded, frob_witnesses = frobenius_exclusion(q)
     entries: list[TraceEntry] = []

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import oracle, primegraph, sympl
@@ -41,7 +41,7 @@ class RunConfig:
     compare: bool = False
     example_84: bool = False
     bound: int = 1_000_000
-    max_enum: int = DEFAULT_MAX_ENUM
+    max_enum: int | None = None  # None: NSE_MAX_ENUM, else DEFAULT_MAX_ENUM
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(argv: list[str] | None = None) -> RunConfig:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
-    cfg.max_enum = int(os.environ.get("NSE_MAX_ENUM", DEFAULT_MAX_ENUM))
     if args.command == "compute":
         cfg.q = args.q
         cfg.format = args.format
@@ -100,6 +99,24 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
         cfg.bound = args.bound
         cfg.output_path = args.out
     return cfg
+
+
+def _max_enum_from_env() -> int:
+    raw = os.environ.get("NSE_MAX_ENUM")
+    if raw is None:
+        return DEFAULT_MAX_ENUM
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"NSE_MAX_ENUM must be a positive decimal integer, got {raw!r}")
+    return int(raw)
+
+
+def _nse_value(v) -> int:
+    """One nse entry: a JSON integer (not a bool) or a decimal string."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and v.isascii() and v.isdigit():
+        return int(v)
+    raise ValueError(f"nse values must be JSON integers or decimal strings, got {json.dumps(v)}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -201,12 +218,13 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 def _cmd_characterize(cfg: RunConfig) -> int:
     order = int(cfg.order)
     raw = json.loads(Path(cfg.nse_path).read_text(encoding="utf-8"))
-    if isinstance(raw, dict) and "counts" in raw:
-        nse = {int(v) for v in raw["counts"].values()}
+    if isinstance(raw, dict) and isinstance(raw.get("counts"), dict):
+        values = raw["counts"].values()
     elif isinstance(raw, list):
-        nse = {int(v) for v in raw}
+        values = raw
     else:
         raise ValueError("nse file must be a JSON array or an nse-table object")
+    nse = {_nse_value(v) for v in values}
     verdict = characterize(order, nse)
     payload = verdict_json(verdict)
     if cfg.output_path:
@@ -282,6 +300,8 @@ def _cmd_selftest() -> int:
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
+        if cfg.max_enum is None:
+            cfg = replace(cfg, max_enum=_max_enum_from_env())
         if cfg.command == "compute":
             return _cmd_compute(cfg)
         if cfg.command == "oracle":

@@ -87,14 +87,9 @@ class ClassDescriptor:
         return f"{self.family}({self.i},{self.j})"
 
 
-def _orbit_reps_pairs(raw: list[tuple[int, int]], images) -> list[tuple[int, int]]:
-    reps = {min(images(t)) for t in raw}
-    return sorted(reps)
-
-
-def _orbit_reps_single(raw: list[int], images) -> list[int]:
-    reps = {min(images(i)) for i in raw}
-    return sorted(reps)
+def _orbit_reps(raw: list, images) -> list:
+    """The least member of each orbit met by raw, in increasing order."""
+    return sorted({min(images(x)) for x in raw})
 
 
 def class_table(q: int) -> list[ClassDescriptor]:
@@ -136,7 +131,7 @@ def class_table(q: int) -> list[ClassDescriptor]:
                     yield (b % m, a % m)
         return imgs
 
-    for (i, j) in _orbit_reps_pairs(raw_s1, images_sym(qm)):
+    for (i, j) in _orbit_reps(raw_s1, images_sym(qm)):
         add(ClassDescriptor("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p))
 
     # B2: i mod q^2-1 with i != +-qi
@@ -152,7 +147,7 @@ def class_table(q: int) -> list[ClassDescriptor]:
             return (i, m - i, a, (m - a) % m)
         return imgs
 
-    for i in _orbit_reps_single(raw_r2, images_q(q2m)):
+    for i in _orbit_reps(raw_r2, images_q(q2m)):
         add(ClassDescriptor("B2", i, None, q2m // gcd(q2m, i), q**4 * o4))
 
     # B3: (i,j) in T1 x T2 modulo simultaneous negation in each coordinate
@@ -168,12 +163,12 @@ def class_table(q: int) -> list[ClassDescriptor]:
         for j in range(1, qp)
         if j != i and j != (qp - i) % qp
     ]
-    for (i, j) in _orbit_reps_pairs(raw_s2, images_sym(qp)):
+    for (i, j) in _orbit_reps(raw_s2, images_sym(qp)):
         add(ClassDescriptor("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p))
 
     # B5: i mod q^2+1, nonzero
     raw_r3 = list(range(1, q2p))
-    for i in _orbit_reps_single(raw_r3, images_q(q2p)):
+    for i in _orbit_reps(raw_r3, images_q(q2p)):
         add(ClassDescriptor("B5", i, None, q2p // gcd(q2p, i), q**4 * (q * q - 1) ** 2))
 
     # C and D families: single parameter modulo negation

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import sys
+from math import lcm
+from pathlib import Path
+
 import pytest
 
 from psp4nse.arith import is_prime_power
@@ -244,3 +250,97 @@ def test_counts_match_m_of_order():
         a = build_A_sets(q)
         assert m_of_order(q, 2) in a.a2
         assert m_of_order(q, 4) in a.a3
+
+
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("f", range(2, 21))
+def test_verdict_matches_recorded_digest(f):
+    q = 1 << f
+    text = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDENS[f"verdict/f{f}"]
+
+
+LCM_1_60 = lcm(*range(1, 61))
+
+
+@pytest.fixture
+def stretched(monkeypatch):
+    """The characterize module with validate_q off and |G| = |PSp4(q)| * mult.
+
+    The package re-exports the function `characterize` under the module's
+    name, so the module itself comes from sys.modules.
+    """
+    mod = sys.modules["psp4nse.characterize"]
+    monkeypatch.setattr(mod, "validate_q", lambda q: None)
+
+    def set_mult(mult):
+        monkeypatch.setattr(mod, "group_order",
+                            lambda q: q**4 * (q**4 - 1) * (q**2 - 1) * mult)
+
+    return set_mult
+
+
+def test_eliminators_differential_digest(stretched):
+    # Every case of every family on q well beyond the 2-powers, with |G| as
+    # is and multiplied by lcm(1..60) so that the divides-|G| branches fire.
+    # PSp and POmega take the exponent of q and are defined on 2-powers only.
+    h = hashlib.sha256()
+    n = manual = 0
+    for mult in (1, LCM_1_60):
+        stretched(mult)
+        for family in FAMILIES:
+            qs = [1 << f for f in range(1, 13)] if family in ("PSp", "POmega") else range(2, 257)
+            for q in qs:
+                for e in eliminate_family(q, family):
+                    h.update(json.dumps([q, mult > 1, family, e.case, e.status, e.witness,
+                                         e.anchor]).encode("utf-8"))
+                    n += 1
+                    manual += e.status == NEEDS_MANUAL_LEMMA
+    assert (n, manual) == (30450, 83)
+    assert h.hexdigest() == "a4e226c5d0daa1e838acc715ade3745296a5c239a41edb8952990f6ce5f98595"
+
+
+def _case(q, family, case):
+    return next(e for e in eliminate_family(q, family) if e.case == case)
+
+
+def test_kill_hit_dividing_order_needs_manual_lemma(stretched):
+    stretched(LCM_1_60)
+    e = _case(2, "Exceptional", "2B2(q')")
+    assert (e.status, e.witness) == (NEEDS_MANUAL_LEMMA, "q'=8: |2B2(8)| divides |G|; unresolved")
+    e = _case(2, "Sporadic", "M11")
+    assert (e.status, e.witness, e.anchor) == (
+        NEEDS_MANUAL_LEMMA,
+        "|M11| = 7920 divides |G|; no implemented predicate separates it (component 5 matches)",
+        "|K/H| must divide |G|",
+    )
+
+
+def test_kill_empty_parameter_stream(stretched):
+    stretched(1)
+    e = _case(2, "Exceptional", "G2(q')")
+    assert (e.status, e.witness, e.anchor) == (
+        ELIMINATED,
+        "no candidate parameter: the family's minimal order already exceeds |G|",
+        "|K/H| must divide |G|",
+    )
+    e = _case(2, "Exceptional", "2B2(q')")
+    assert e.witness == "no candidate parameter: |2B2(8)| already exceeds |G|"
+
+
+def test_kill_miss():
+    e = _case(4, "Exceptional", "G2(q')")
+    assert (e.status, e.witness) == (ELIMINATED, "no parameter in {2} yields odd component 17")
+    assert e.anchor.startswith("odd-order-component tables")
+
+
+def test_case_table_is_the_trace_order():
+    # one row per (family, case), laid out in the order the trace lists them
+    rows = [(row.family, row.case) for row in sys.modules["psp4nse.characterize"]._CASES]
+    trace = characterize(group_order(4), nse_set(4)).trace
+    assert rows == [(e.family, e.case) for e in trace.entries]
+    assert len(set(rows)) == len(rows)

@@ -61,6 +61,35 @@ def test_characterize_array_input(tmp_path):
     assert json.loads(out.read_text())["outcome"] == "IsomorphicToPSp4"
 
 
+@pytest.mark.parametrize("bad", [4335.0, True, "4335.0", " 4335", None, [4335]])
+def test_characterize_rejects_non_integer_nse_values(tmp_path, capsys, bad):
+    values = [str(v) for v in sorted(nse_table(4).counts.values())]
+    nse_file = tmp_path / "nse.json"
+    nse_file.write_text(json.dumps([values[0], bad] + values[2:]))
+    assert run_cli(["characterize", "--order", "979200", "--nse-file", str(nse_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: nse values must be JSON integers or decimal strings, got {json.dumps(bad)}\n"
+
+
+def test_characterize_accepts_json_integers(tmp_path, capsys):
+    nse_file = tmp_path / "nse.json"
+    nse_file.write_text(json.dumps(sorted(nse_table(4).counts.values())))
+    out = tmp_path / "v.json"
+    assert run_cli(["characterize", "--order", "979200", "--nse-file", str(nse_file),
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outcome"] == "IsomorphicToPSp4"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", ""])
+def test_bad_max_enum_is_a_config_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("NSE_MAX_ENUM", value)
+    assert run_cli(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: NSE_MAX_ENUM must be a positive decimal integer, got {value!r}\n"
+
+
 def test_characterize_not_applicable(tmp_path):
     nse_file = tmp_path / "nse.json"
     nse_file.write_text(json.dumps(["1", "2", "6", "12", "14", "28"]))
