@@ -217,7 +217,7 @@ def dedekind_psi(n: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic_eval(n: int, x: int) -> int:
     """Phi_n(x) exactly, by dividing x^n - 1 by the proper-divisor cyclotomics."""
     if n < 1:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -253,16 +254,17 @@ def _cmd_catalan(cfg: RunConfig) -> int:
 
 
 def _selftest_checks(q: int):
+    counts = sympl.nse_table(q).counts
+    rows = sympl.class_table(q)
     yield (f"q={q} partition: counts sum to |G|",
-           sum(sympl.nse_table(q).counts.values()) == sympl.group_order(q))
+           sum(counts.values()) == sympl.group_order(q))
     by_order: dict[int, int] = {}
-    for row in sympl.class_table(q):
+    for row in rows:
         by_order[row.rep_order] = by_order.get(row.rep_order, 0) + row.class_length
-    yield (f"q={q} class table reproduces every same-order count",
-           by_order == sympl.nse_table(q).counts)
+    yield (f"q={q} class table reproduces every same-order count", by_order == counts)
+    per_family = Counter(row.family for row in rows)
     counts_ok = all(
-        sum(1 for r in sympl.class_table(q) if r.family == famname)
-        == sympl.family_class_count(q, famname)
+        per_family[famname] == sympl.family_class_count(q, famname)
         for famname in sympl.CLASS_FAMILIES
     )
     yield (f"q={q} class counts match the count polynomials", counts_ok)

@@ -16,6 +16,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 from .arith import dedekind_psi, divisors, euler_phi, power_of_two_exponent
@@ -59,12 +60,17 @@ def group_order(q: int) -> int:
     return q**4 * (q**4 - 1) * (q**2 - 1)
 
 
-@lru_cache(maxsize=None)
+def _order_moduli(q: int) -> tuple[int, ...]:
+    """The element orders of PSp4(q) are exactly the divisors of these numbers."""
+    return (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)
+
+
+@lru_cache(maxsize=64)
 def spectrum(q: int) -> tuple[int, ...]:
     """Element orders of PSp4(q): every divisor of 4, 2(q-1), 2(q+1), q^2-1, q^2+1."""
     validate_q(q)
     out: set[int] = set()
-    for n in (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1):
+    for n in _order_moduli(q):
         out.update(divisors(n))
     return tuple(sorted(out))
 
@@ -87,22 +93,29 @@ class ClassDescriptor:
         return f"{self.family}({self.i},{self.j})"
 
 
-def _orbit_reps(raw: list, images) -> list:
-    """The least member of each orbit met by raw, in increasing order."""
-    return sorted({min(images(x)) for x in raw})
+def _least_in_q_orbit(q: int, m: int) -> list[int]:
+    """The least member of each orbit {+-i, +-qi} mod m of size 4, in increasing order.
+
+    i is least in its orbit iff i < -i and i < +-qi; the strict inequalities
+    also drop the i with qi = +-i.
+    """
+    return [i for i in range(1, (m - 1) // 2 + 1) if i < q * i % m < m - i]
 
 
 def class_table(q: int) -> list[ClassDescriptor]:
-    """All conjugacy classes of PSp4(q), parameters canonicalized per orbit.
+    """All conjugacy classes of PSp4(q), each orbit of parameters by its least member.
 
-    Parameter tuples are reduced modulo the identifications
+    Parameter tuples are taken modulo the identifications
     B1/B4: (i,j) ~ (+-i,+-j) ~ (+-j,+-i); B2/B5: i ~ +-i, +-qi; B3: (i,j) ~
-    (+-i,+-j); C/D: i ~ -i, each orbit represented by its least member.
+    (+-i,+-j); C/D: i ~ -i.  With T1 = 1..(q-2)/2 and T2 = 1..q/2, the least
+    members are i < j in T1 (B1) or T2 (B4), T1 x T2 (B3) and T1 or T2 (C/D),
+    each family in increasing order.
     """
     validate_q(q)
     qm, qp = q - 1, q + 1
     q2m, q2p = q * q - 1, q * q + 1
     o4 = q**4 - 1
+    t1, t2 = range(1, (q - 2) // 2 + 1), range(1, q // 2 + 1)
     rows: list[ClassDescriptor] = []
     add = rows.append
 
@@ -114,86 +127,32 @@ def class_table(q: int) -> list[ClassDescriptor]:
     add(ClassDescriptor("A41", None, None, 4, half_len))
     add(ClassDescriptor("A42", None, None, 4, half_len))
 
-    # B1: (i,j) mod q-1, both nonzero, i != +-j
-    raw_s1 = [
-        (i, j)
-        for i in range(1, qm)
-        for j in range(1, qm)
-        if j != i and j != (qm - i) % qm
-    ]
-
-    def images_sym(m):
-        def imgs(t):
-            i, j = t
-            for a in (i, m - i):
-                for b in (j, m - j):
-                    yield (a % m, b % m)
-                    yield (b % m, a % m)
-        return imgs
-
-    for (i, j) in _orbit_reps(raw_s1, images_sym(qm)):
+    for (i, j) in combinations(t1, 2):
         add(ClassDescriptor("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p))
-
-    # B2: i mod q^2-1 with i != +-qi
-    raw_r2 = [
-        i
-        for i in range(1, q2m)
-        if (q * i) % q2m != i and (q2m - (q * i) % q2m) % q2m != i
-    ]
-
-    def images_q(m):
-        def imgs(i):
-            a = (q * i) % m
-            return (i, m - i, a, (m - a) % m)
-        return imgs
-
-    for i in _orbit_reps(raw_r2, images_q(q2m)):
+    for i in _least_in_q_orbit(q, q2m):
         add(ClassDescriptor("B2", i, None, q2m // gcd(q2m, i), q**4 * o4))
-
-    # B3: (i,j) in T1 x T2 modulo simultaneous negation in each coordinate
-    for i in range(1, (qm - 1) // 2 + 1):
-        for j in range(1, q // 2 + 1):
+    for i in t1:
+        for j in t2:
             rep = q2m // (gcd(qm, i) * gcd(qp, j))
             add(ClassDescriptor("B3", i, j, rep, q**4 * o4))
-
-    # B4: (i,j) mod q+1, both nonzero, i != +-j
-    raw_s2 = [
-        (i, j)
-        for i in range(1, qp)
-        for j in range(1, qp)
-        if j != i and j != (qp - i) % qp
-    ]
-    for (i, j) in _orbit_reps(raw_s2, images_sym(qp)):
+    for (i, j) in combinations(t2, 2):
         add(ClassDescriptor("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p))
+    for i in _least_in_q_orbit(q, q2p):
+        add(ClassDescriptor("B5", i, None, q2p // gcd(q2p, i), q**4 * q2m * q2m))
 
-    # B5: i mod q^2+1, nonzero
-    raw_r3 = list(range(1, q2p))
-    for i in _orbit_reps(raw_r3, images_q(q2p)):
-        add(ClassDescriptor("B5", i, None, q2p // gcd(q2p, i), q**4 * (q * q - 1) ** 2))
-
-    # C and D families: single parameter modulo negation
-    t1_reps = range(1, (qm - 1) // 2 + 1)
-    t2_reps = range(1, q // 2 + 1)
-    len_c_minus = q**3 * qp * q2p
-    len_c_plus = q**3 * qm * q2p
-    len_d_minus = q**3 * qp * o4
-    len_d_plus = q**3 * qm * o4
-    for i in t1_reps:
-        add(ClassDescriptor("C1", i, None, qm // gcd(qm, i), len_c_minus))
-    for i in t1_reps:
-        add(ClassDescriptor("C2", i, None, qm // gcd(qm, i), len_c_minus))
-    for i in t2_reps:
-        add(ClassDescriptor("C3", i, None, qp // gcd(qp, i), len_c_plus))
-    for i in t2_reps:
-        add(ClassDescriptor("C4", i, None, qp // gcd(qp, i), len_c_plus))
-    for i in t1_reps:
-        add(ClassDescriptor("D1", i, None, 2 * qm // gcd(qm, i), len_d_minus))
-    for i in t1_reps:
-        add(ClassDescriptor("D2", i, None, 2 * qm // gcd(qm, i), len_d_minus))
-    for i in t2_reps:
-        add(ClassDescriptor("D3", i, None, 2 * qp // gcd(qp, i), len_d_plus))
-    for i in t2_reps:
-        add(ClassDescriptor("D4", i, None, 2 * qp // gcd(qp, i), len_d_plus))
+    # C and D: (family, parameters, modulus m, element order = k * m / gcd(m, i), length)
+    for family, params, m, k, length in (
+        ("C1", t1, qm, 1, q**3 * qp * q2p),
+        ("C2", t1, qm, 1, q**3 * qp * q2p),
+        ("C3", t2, qp, 1, q**3 * qm * q2p),
+        ("C4", t2, qp, 1, q**3 * qm * q2p),
+        ("D1", t1, qm, 2, q**3 * qp * o4),
+        ("D2", t1, qm, 2, q**3 * qp * o4),
+        ("D3", t2, qp, 2, q**3 * qm * o4),
+        ("D4", t2, qp, 2, q**3 * qm * o4),
+    ):
+        for i in params:
+            add(ClassDescriptor(family, i, None, k * m // gcd(m, i), length))
 
     return rows
 
@@ -232,7 +191,7 @@ def m_of_order(q: int, r: int) -> int:
     (gcd(q-1, q+1) = 1 for even q); or r = 2r' with r' dividing q-1 or q+1.
     """
     validate_q(q)
-    if r not in set(spectrum(q)):
+    if r < 1 or all(n % r for n in _order_moduli(q)):
         raise ValueError(f"{r} is not an element order of PSp4({q})")
     if r == 1:
         return 1

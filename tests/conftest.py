@@ -1,6 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from psp4nse import oracle
+
+GOLDENS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+
+
+@pytest.fixture(scope="session")
+def goldens():
+    """sha256 digests of the emitted texts, keyed as perfbench/goldens.json (read only)."""
+    return json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

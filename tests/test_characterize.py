@@ -2,7 +2,6 @@ import hashlib
 import json
 import sys
 from math import lcm
-from pathlib import Path
 
 import pytest
 
@@ -252,16 +251,11 @@ def test_counts_match_m_of_order():
         assert m_of_order(q, 4) in a.a3
 
 
-GOLDENS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text(encoding="utf-8")
-)
-
-
 @pytest.mark.parametrize("f", range(2, 21))
-def test_verdict_matches_recorded_digest(f):
+def test_verdict_matches_recorded_digest(f, goldens):
     q = 1 << f
     text = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDENS[f"verdict/f{f}"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == goldens[f"verdict/f{f}"]
 
 
 LCM_1_60 = lcm(*range(1, 61))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -57,8 +58,9 @@ def test_spectrum():
 def test_m_of_order_q4():
     for r, expected in NSE4.items():
         assert m_of_order(4, r) == expected
-    with pytest.raises(ValueError):
-        m_of_order(4, 7)
+    for bad in (7, 0, -3):
+        with pytest.raises(ValueError):
+            m_of_order(4, bad)
 
 
 def test_nse_table_q4_and_q8():
@@ -157,3 +159,30 @@ def test_class_table_csv():
     assert [r["class_count_index"] for r in b5_rows] == ["0", "1", "2", "3"]
     a1 = rows[0]
     assert a1["name"] == "A1" and a1["i"] == "" and a1["rep_order"] == "1"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _dumps(obj) -> str:
+    """JSON text exactly as the compute command writes its files."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("f", range(2, 10))
+def test_class_table_matches_recorded_digest(f, goldens):
+    text = class_table_csv(class_table(1 << f))
+    assert _digest(text) == goldens[f"classes/f{f}"]
+
+
+@pytest.mark.parametrize("f", range(2, 10))
+def test_spectrum_matches_recorded_digest(f, goldens):
+    q = 1 << f
+    obj = {"q": q, "order": str(group_order(q)), "spectrum": [str(r) for r in spectrum(q)]}
+    assert _digest(_dumps(obj)) == goldens[f"spectrum/f{f}"]
+
+
+@pytest.mark.parametrize("f", range(2, 27))
+def test_nse_table_matches_recorded_digest(f, goldens):
+    assert _digest(_dumps(nse_table_json(nse_table(1 << f)))) == goldens[f"nse/f{f}"]
