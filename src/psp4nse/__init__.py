@@ -4,120 +4,23 @@ Closed forms for the conjugacy class table, element-order spectrum, and
 same-order counts; a brute-force enumeration oracle validating them; prime
 graphs and order components; and the characterization pipeline deciding, from
 a group order and an nse set, isomorphism with PSp4(q).
+
+The package root exports the names of the library example in the README;
+everything else lives in its submodule (arith, gf2, oracle, sympl, primegraph,
+families, characterize, cli).
 """
 
-from .arith import (
-    CatalanSolution,
-    Factorization,
-    DivisibilityReport,
-    classify_catalan,
-    cyclotomic_eval,
-    dedekind_psi,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    divisibility_predicates,
-    search_catalan,
-    twisted_cyclotomic_eval,
-)
-from .characterize import (
-    AmcSets,
-    EliminationTrace,
-    TraceEntry,
-    Verdict,
-    build_A_sets,
-    characterize,
-    eliminate_family,
-    frobenius_exclusion,
-    match_order,
-    prime_count_membership,
-    verdict_json,
-)
-from .gf2 import FieldElement, FieldSpec, find_generator, multiplicative_order
-from .oracle import (
-    CapacityExceeded,
-    EnumeratedGroup,
-    Mat4,
-    OrderHistogram,
-    PermGroupSpec,
-    enumerate_group,
-    order_histogram,
-    perm_nse,
-    power_count,
-    sp4_generators,
-    sp4_group,
-    z3_times_z7_z4,
-    z4_times_z7_z3,
-)
-from .primegraph import PrimeGraph, build_graph, component_count, separation_check
-from .sympl import (
-    ClassDescriptor,
-    NseTable,
-    class_table,
-    group_order,
-    m_of_order,
-    nse_set,
-    nse_table,
-    phi_divisibility_check,
-    spectrum,
-)
+from .characterize import characterize
+from .oracle import order_histogram, sp4_group
+from .sympl import group_order, nse_set, nse_table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalanSolution",
-    "Factorization",
-    "DivisibilityReport",
-    "classify_catalan",
-    "cyclotomic_eval",
-    "dedekind_psi",
-    "divisors",
-    "euler_phi",
-    "factorize",
-    "is_prime",
-    "divisibility_predicates",
-    "search_catalan",
-    "twisted_cyclotomic_eval",
-    "AmcSets",
-    "EliminationTrace",
-    "TraceEntry",
-    "Verdict",
-    "build_A_sets",
     "characterize",
-    "eliminate_family",
-    "frobenius_exclusion",
-    "match_order",
-    "prime_count_membership",
-    "verdict_json",
-    "FieldElement",
-    "FieldSpec",
-    "find_generator",
-    "multiplicative_order",
-    "CapacityExceeded",
-    "EnumeratedGroup",
-    "Mat4",
-    "OrderHistogram",
-    "PermGroupSpec",
-    "enumerate_group",
-    "order_histogram",
-    "perm_nse",
-    "power_count",
-    "sp4_generators",
-    "sp4_group",
-    "z3_times_z7_z4",
-    "z4_times_z7_z3",
-    "PrimeGraph",
-    "build_graph",
-    "component_count",
-    "separation_check",
-    "ClassDescriptor",
-    "NseTable",
-    "class_table",
     "group_order",
-    "m_of_order",
     "nse_set",
     "nse_table",
-    "phi_divisibility_check",
-    "spectrum",
+    "order_histogram",
+    "sp4_group",
 ]

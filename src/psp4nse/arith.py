@@ -336,6 +336,12 @@ class DivisibilityCheck:
     quotient: int | None
     remainder: int
 
+    @classmethod
+    def of(cls, label: str, dividend: int, divisor: int) -> DivisibilityCheck:
+        """Divide dividend by divisor; the quotient is kept only when exact."""
+        quot, rem = divmod(dividend, divisor)
+        return cls(label, divisor, rem == 0, quot if rem == 0 else None, rem)
+
 
 @dataclass(frozen=True)
 class DivisibilityReport:
@@ -376,13 +382,8 @@ def divisibility_predicates(q: int) -> DivisibilityReport:
         ("iv", 3 * q * q + 2),
         ("v", q**4 - 9),
     )
-    checks = []
-    for label, d in values:
-        quot, rem = divmod(dividend, d)
-        checks.append(
-            DivisibilityCheck(label, d, rem == 0, quot if rem == 0 else None, rem)
-        )
-    return DivisibilityReport(q, dividend, tuple(checks))
+    checks = tuple(DivisibilityCheck.of(label, dividend, d) for label, d in values)
+    return DivisibilityReport(q, dividend, checks)
 
 
 def nth_root(n: int, k: int) -> int:

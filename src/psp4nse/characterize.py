@@ -169,14 +169,12 @@ def match_order(n: int) -> int | None:
     """The unique q = 2^f > 2 with n = q^4(q^4-1)(q^2-1), if any."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    f = 2
-    while True:
-        v = group_order(1 << f)
-        if v == n:
-            return 1 << f
-        if v > n:
-            return None
-        f += 1
+    # (q^4-1)(q^2-1) is odd, so the 2-part of |PSp4(2^f)| is exactly 2^(4f)
+    v = (n & -n).bit_length() - 1
+    if v % 4 or v < 8:
+        return None
+    q = 1 << (v // 4)
+    return q if group_order(q) == n else None
 
 
 def _count_bucket(q: int, r: int, a: AmcSets) -> tuple[str, frozenset[int]]:
@@ -207,23 +205,9 @@ def frobenius_exclusion(q: int) -> tuple[bool, tuple[DivisibilityCheck, ...]]:
     validate_q(q)
     kernel_big = q**4 * (q * q - 1) ** 2
     comp_small = q * q + 1
-    quot1, rem1 = divmod(kernel_big - 1, comp_small)
-    quot2, rem2 = divmod(comp_small - 1, kernel_big)
     checks = (
-        DivisibilityCheck(
-            "(q^2+1) | q^4(q^2-1)^2 - 1",
-            comp_small,
-            rem1 == 0,
-            quot1 if rem1 == 0 else None,
-            rem1,
-        ),
-        DivisibilityCheck(
-            "q^4(q^2-1)^2 | q^2",
-            kernel_big,
-            rem2 == 0,
-            quot2 if rem2 == 0 else None,
-            rem2,
-        ),
+        DivisibilityCheck.of("(q^2+1) | q^4(q^2-1)^2 - 1", kernel_big - 1, comp_small),
+        DivisibilityCheck.of("q^4(q^2-1)^2 | q^2", comp_small - 1, kernel_big),
     )
     return (not checks[0].divides and not checks[1].divides, checks)
 

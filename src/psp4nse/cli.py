@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import oracle, primegraph, sympl
@@ -26,23 +25,9 @@ from .characterize import (
     verdict_json,
 )
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 DEFAULT_MAX_ENUM = 2_000_000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    q: int | None = None
-    order: str | None = None
-    nse_path: str | None = None
-    format: str = "json"
-    output_path: str | None = None
-    compare: bool = False
-    example_84: bool = False
-    bound: int = 1_000_000
-    max_enum: int | None = None  # None: NSE_MAX_ENUM, else DEFAULT_MAX_ENUM
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,62 +65,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: list[str] | None = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if args.command == "compute":
-        cfg.q = args.q
-        cfg.format = args.format
-        cfg.output_path = args.out
-    elif args.command == "oracle":
-        cfg.q = args.q
-        cfg.compare = args.compare
-        cfg.example_84 = args.example_84
-        cfg.output_path = args.out
-    elif args.command == "characterize":
-        cfg.order = args.order
-        cfg.nse_path = args.nse_file
-        cfg.output_path = args.out
-    elif args.command == "catalan":
-        cfg.bound = args.bound
-        cfg.output_path = args.out
-    return cfg
+def _decimal(text) -> int | None:
+    """The value of an ASCII decimal string (digits only: no sign, space or
+    underscore), else None."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        return int(text)
+    return None
 
 
 def _max_enum_from_env() -> int:
     raw = os.environ.get("NSE_MAX_ENUM")
     if raw is None:
         return DEFAULT_MAX_ENUM
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+    value = _decimal(raw)
+    if value is None or value < 1:
         raise ValueError(f"NSE_MAX_ENUM must be a positive decimal integer, got {raw!r}")
-    return int(raw)
+    return value
 
 
 def _nse_value(v) -> int:
     """One nse entry: a JSON integer (not a bool) or a decimal string."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    if isinstance(v, str) and v.isascii() and v.isdigit():
-        return int(v)
-    raise ValueError(f"nse values must be JSON integers or decimal strings, got {json.dumps(v)}")
+    value = _decimal(v)
+    if value is None:
+        raise ValueError(f"nse values must be JSON integers or decimal strings, got {json.dumps(v)}")
+    return value
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _cmd_compute(cfg: RunConfig) -> int:
-    q = cfg.q
+def _cmd_compute(args: argparse.Namespace) -> int:
+    q = args.q
     sympl.validate_q(q)
-    out = Path(cfg.output_path or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     table = sympl.nse_table(q)
     nse_obj = sympl.nse_table_json(table)
     _write_json(out / f"nse_q{q}.json", nse_obj)
 
-    rows = sympl.class_table(q)
-    (out / f"classes_q{q}.csv").write_text(sympl.class_table_csv(rows), encoding="utf-8")
+    classes_csv = sympl.class_table_csv(sympl.class_table(q))
+    (out / f"classes_q{q}.csv").write_text(classes_csv, encoding="utf-8")
 
     spec = sympl.spectrum(q)
     _write_json(out / f"spectrum_q{q}.json", {
@@ -147,8 +120,8 @@ def _cmd_compute(cfg: RunConfig) -> int:
     graph = primegraph.build_graph(set(spec), table.order)
     _write_json(out / f"prime_graph_q{q}.json", primegraph.graph_json(graph))
 
-    if cfg.format == "csv":
-        sys.stdout.write(sympl.class_table_csv(rows))
+    if args.format == "csv":
+        sys.stdout.write(classes_csv)
     else:
         json.dump(nse_obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -156,11 +129,11 @@ def _cmd_compute(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    out = Path(cfg.output_path or ".")
+def _cmd_oracle(args: argparse.Namespace, max_enum: int) -> int:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     status = 0
-    if cfg.example_84:
+    if args.example_84:
         specs = {
             "Z4x(Z7:Z3)": oracle.z4_times_z7_z3(),
             "Z3x(Z7:Z4)": oracle.z3_times_z7_z4(),
@@ -186,15 +159,15 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         )
         print(f"example-84: nse match={ok}")
         status = max(status, 0 if ok else 1)
-        if cfg.q is None:
+        if args.q is None:
             return status
 
-    if cfg.q is None:
+    if args.q is None:
         print("oracle: nothing to do (give --q and/or --example-84)", file=sys.stderr)
         return 2
-    q = cfg.q
+    q = args.q
     sympl.validate_q(q)
-    group = oracle.sp4_group(q, cap=cfg.max_enum)
+    group = oracle.sp4_group(q, cap=max_enum)
     hist = oracle.order_histogram(group)
     _write_json(out / f"histogram_q{q}.json", {
         "q": q,
@@ -202,7 +175,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         "counts": {str(k): str(v) for k, v in sorted(hist.counts.items())},
     })
     print(f"enumerated {len(group)} elements of Sp4({q})")
-    if cfg.compare:
+    if args.compare:
         table = sympl.nse_table(q)
         mismatches = []
         if hist.total() != table.order:
@@ -216,9 +189,11 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     return status
 
 
-def _cmd_characterize(cfg: RunConfig) -> int:
-    order = int(cfg.order)
-    raw = json.loads(Path(cfg.nse_path).read_text(encoding="utf-8"))
+def _cmd_characterize(args: argparse.Namespace) -> int:
+    order = _decimal(args.order)
+    if order is None:
+        raise ValueError(f"--order must be a decimal integer, got {args.order!r}")
+    raw = json.loads(Path(args.nse_file).read_text(encoding="utf-8"))
     if isinstance(raw, dict) and isinstance(raw.get("counts"), dict):
         values = raw["counts"].values()
     elif isinstance(raw, list):
@@ -228,8 +203,8 @@ def _cmd_characterize(cfg: RunConfig) -> int:
     nse = {_nse_value(v) for v in values}
     verdict = characterize(order, nse)
     payload = verdict_json(verdict)
-    if cfg.output_path:
-        _write_json(Path(cfg.output_path), payload)
+    if args.out:
+        _write_json(Path(args.out), payload)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -238,15 +213,15 @@ def _cmd_characterize(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_catalan(cfg: RunConfig) -> int:
-    sols = search_catalan(cfg.bound)
+def _cmd_catalan(args: argparse.Namespace) -> int:
+    sols = search_catalan(args.bound)
     payload = [
         {"p": str(s.p), "q": str(s.q), "m": s.m, "n": s.n, "kind": s.kind,
          "value": str(s.value)}
         for s in sols
     ]
-    if cfg.output_path:
-        _write_json(Path(cfg.output_path), payload)
+    if args.out:
+        _write_json(Path(args.out), payload)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -299,33 +274,26 @@ def _cmd_selftest() -> int:
     return 1 if failures else 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
+def main(argv: list[str] | None = None) -> int:
+    """Parse the arguments and run one command; returns the process exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        if cfg.max_enum is None:
-            cfg = replace(cfg, max_enum=_max_enum_from_env())
-        if cfg.command == "compute":
-            return _cmd_compute(cfg)
-        if cfg.command == "oracle":
-            return _cmd_oracle(cfg)
-        if cfg.command == "characterize":
-            return _cmd_characterize(cfg)
-        if cfg.command == "catalan":
-            return _cmd_catalan(cfg)
-        if cfg.command == "selftest":
-            return _cmd_selftest()
-        print(f"unknown command {cfg.command!r}", file=sys.stderr)
-        return 2
+        max_enum = _max_enum_from_env()
+        if args.command == "compute":
+            return _cmd_compute(args)
+        if args.command == "oracle":
+            return _cmd_oracle(args, max_enum)
+        if args.command == "characterize":
+            return _cmd_characterize(args)
+        if args.command == "catalan":
+            return _cmd_catalan(args)
+        return _cmd_selftest()
     except oracle.CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(config_from_args(argv))
 
 
 if __name__ == "__main__":

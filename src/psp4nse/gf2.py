@@ -15,7 +15,6 @@ from .arith import divisors
 
 __all__ = [
     "FieldSpec",
-    "FieldElement",
     "lexicographic_modulus",
     "multiplicative_order",
     "find_generator",
@@ -97,66 +96,21 @@ class FieldSpec:
             raise ZeroDivisionError("inversion of zero in GF(2^f)")
         return self.pow(a, self.order - 2)
 
-    def element(self, bits: int) -> FieldElement:
-        return FieldElement(self, bits)
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a fixed FieldSpec; comparison and hashing are on the bits."""
-
-    spec: FieldSpec
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < self.spec.order:
-            raise ValueError(f"bits {self.bits} out of range for GF(2^{self.spec.f})")
-
-    def _check(self, other: FieldElement) -> None:
-        if self.spec != other.spec:
-            raise ValueError("elements of different field specs")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, self.bits ^ other.bits)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.bits, other.bits))
-
-    def __pow__(self, k: int) -> FieldElement:
-        return FieldElement(self.spec, self.spec.pow(self.bits, k))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.inv(self.bits))
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-
-def multiplicative_order(elem: FieldElement) -> int:
-    """Smallest k >= 1 with elem^k = 1 (error on zero)."""
-    if elem.bits == 0:
+def multiplicative_order(spec: FieldSpec, a: int) -> int:
+    """Smallest k >= 1 with a^k = 1 in the field (error on zero)."""
+    if a == 0:
         raise ZeroDivisionError("zero has no multiplicative order")
-    spec = elem.spec
     for d in divisors(spec.order - 1):
-        if spec.pow(elem.bits, d) == 1:
+        if spec.pow(a, d) == 1:
             return d
     raise AssertionError("order not found below group order")
 
 
-def find_generator(spec: FieldSpec) -> FieldElement:
-    """The generator of GF(2^f)^x with the smallest bits value (deterministic)."""
+def find_generator(spec: FieldSpec) -> int:
+    """The generator of GF(2^f)^x with the smallest bitmask (deterministic)."""
     target = spec.order - 1
-    for bits in range(1, spec.order):
-        if multiplicative_order(spec.element(bits)) == target:
-            return spec.element(bits)
+    for a in range(1, spec.order):
+        if multiplicative_order(spec, a) == target:
+            return a
     raise AssertionError("no generator found")

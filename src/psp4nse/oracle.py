@@ -37,7 +37,6 @@ __all__ = [
     "random_word_orders",
     "perm_group_elements",
     "perm_nse",
-    "power_count",
     "z4_times_z7_z3",
     "z3_times_z7_z4",
 ]
@@ -100,15 +99,6 @@ class Mat4:
         j = Mat4(self.spec, _J_ENTRIES)
         return self.transpose().mul(j).mul(self).entries == _J_ENTRIES
 
-    def order(self, bound: int = 1 << 20) -> int:
-        ident = Mat4.identity(self.spec)
-        acc = self
-        for k in range(1, bound + 1):
-            if acc == ident:
-                return k
-            acc = acc.mul(self)
-        raise RuntimeError(f"order exceeds bound {bound}")
-
     def packed(self) -> int:
         f = self.spec.f
         key = 0
@@ -127,7 +117,7 @@ def sp4_generators(q: int) -> list[Mat4]:
     """
     f = validate_q(q)
     spec = FieldSpec.for_degree(f)
-    g = find_generator(spec).bits
+    g = find_generator(spec)
     g_inv = spec.inv(g)
     one = 1
     x_a = Mat4.from_rows(spec, [[1, one, 0, 0], [0, 1, 0, 0], [0, 0, 1, one], [0, 0, 0, 1]])
@@ -336,17 +326,11 @@ def _orders_vectorized(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndar
     raise RuntimeError(f"element order exceeds bound {bound}")
 
 
-def order_histogram(elements) -> OrderHistogram:
-    """Exact order histogram; vectorized for an EnumeratedGroup, scalar otherwise."""
-    if isinstance(elements, EnumeratedGroup):
-        orders = _orders_vectorized(elements.spec, elements.keys, len(elements) + 1)
-        values, counts = np.unique(orders, return_counts=True)
-        return OrderHistogram({int(v): int(c) for v, c in zip(values, counts)})
-    counts: dict[int, int] = {}
-    for m in elements:
-        k = m.order()
-        counts[k] = counts.get(k, 0) + 1
-    return OrderHistogram(dict(sorted(counts.items())))
+def order_histogram(group: EnumeratedGroup) -> OrderHistogram:
+    """Exact order histogram of an enumerated group."""
+    orders = _orders_vectorized(group.spec, group.keys, len(group) + 1)
+    values, counts = np.unique(orders, return_counts=True)
+    return OrderHistogram({int(v): int(c) for v, c in zip(values, counts)})
 
 
 def random_word_orders(
@@ -438,11 +422,6 @@ def perm_nse(spec: PermGroupSpec, cap: int = 1_000_000) -> OrderHistogram:
         k = _perm_order(p)
         counts[k] = counts.get(k, 0) + 1
     return OrderHistogram(dict(sorted(counts.items())))
-
-
-def power_count(spec: PermGroupSpec, n: int, cap: int = 1_000_000) -> int:
-    """|G_n| = #{x in G : x^n = 1} for the generated permutation group."""
-    return perm_nse(spec, cap).power_count(n)
 
 
 def z4_times_z7_z3() -> PermGroupSpec:

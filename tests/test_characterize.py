@@ -4,6 +4,8 @@ import sys
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp4nse.arith import is_prime_power
 from psp4nse.characterize import (
@@ -62,8 +64,38 @@ def test_match_order():
     assert match_order(1056706560) == 8
     assert match_order(group_order(1 << 12)) == 1 << 12
     assert match_order(84) is None
+    for f in range(2, 65):
+        n = group_order(1 << f)
+        assert match_order(n) == 1 << f
+        # same 2-part as some |PSp4(2^e)| but a different odd part
+        assert match_order(3 * n) is None and match_order(16 * n) is None
     with pytest.raises(ValueError):
         match_order(0)
+    with pytest.raises(ValueError):
+        match_order(-979200)
+
+
+def _match_order_by_scan(n):
+    # the loop match_order replaced: walk f upward until |PSp4(2^f)| reaches n
+    f = 2
+    while True:
+        v = group_order(1 << f)
+        if v >= n:
+            return 1 << f if v == n else None
+        f += 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(2, 64), st.integers(-(1 << 16), 1 << 16)).map(
+            lambda fd: group_order(1 << fd[0]) + fd[1]
+        ),
+        st.integers(1, 1 << 40),
+    )
+)
+def test_match_order_equals_scan(n):
+    assert match_order(n) == _match_order_by_scan(n)
 
 
 def test_prime_count_membership():

@@ -30,6 +30,13 @@ def test_compute_writes_artifacts(tmp_path, capsys):
     assert graph["order_components"] == ["57600", "17"]
 
 
+def test_compute_csv_stdout_is_the_written_table(tmp_path, capfdbinary):
+    assert run_cli(["compute", "--q", "8", "--format", "csv", "--out", str(tmp_path)]) == 0
+    out = capfdbinary.readouterr().out
+    assert out.startswith(b"name,i,j,rep_order,")
+    assert out == (tmp_path / "classes_q8.csv").read_bytes()
+
+
 def test_compute_rejects_bad_q(tmp_path):
     assert run_cli(["compute", "--q", "6", "--out", str(tmp_path)]) == 2
     assert run_cli(["compute", "--q", "2", "--out", str(tmp_path)]) == 2
@@ -70,6 +77,17 @@ def test_characterize_rejects_non_integer_nse_values(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: nse values must be JSON integers or decimal strings, got {json.dumps(bad)}\n"
+
+
+@pytest.mark.parametrize("order", ["979_200", " 979200", "\uff19\uff17\uff19\uff12\uff10\uff10",
+                                   "979200.0", "+979200"])
+def test_characterize_rejects_non_decimal_order(tmp_path, capsys, order):
+    nse_file = tmp_path / "nse.json"
+    nse_file.write_text(json.dumps(sorted(nse_table(4).counts.values())))
+    assert run_cli(["characterize", "--order", order, "--nse-file", str(nse_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --order must be a decimal integer, got {order!r}\n"
 
 
 def test_characterize_accepts_json_integers(tmp_path, capsys):
