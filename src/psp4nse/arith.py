@@ -1,12 +1,14 @@
 """Exact integer number theory used throughout the package.
 
 Factorization (trial division backed by a sieve, then Pollard-Brent rho),
-divisor machinery, the Euler and Dedekind multiplicative functions, exact
-cyclotomic values including the twisted factors of Phi_6 and Phi_12, the
-prime-power equation p^m = q^n + 1, and the divisibility predicates about
-q^4(q^4-1)(q^2-1) that the characterization pipeline relies on.
+divisor machinery, prime-power counting, the Euler and Dedekind
+multiplicative functions, exact cyclotomic values including the twisted
+factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1, and the
+divisibility predicates about q^4(q^4-1)(q^2-1) that the characterization
+pipeline relies on.
 
-All arithmetic is arbitrary precision; nothing here ever goes through floats.
+All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
+2^62 in the prime-counting table; nothing here ever goes through floats.
 Primality below 2^64 is deterministic Miller-Rabin; above it the test is
 probabilistic (64 fixed-seed rounds) and documented as such.
 """
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+import numpy as np
+
 __all__ = [
     "Factorization",
     "CatalanSolution",
@@ -28,6 +32,7 @@ __all__ = [
     "prime_divisors",
     "is_prime",
     "is_prime_power",
+    "prime_power_count",
     "euler_phi",
     "dedekind_psi",
     "cyclotomic_eval",
@@ -199,6 +204,47 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     if len(fac) != 1:
         return None
     return fac.pairs[0]
+
+
+_PI_TABLE_LIMIT = 1 << 62
+
+
+def _prime_pi_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prime counts at every value floor(n/i), by the Lucy_Hedgehog recursion.
+
+    With r = isqrt(n): small[v] = pi(v) for 0 <= v <= r and large[i] =
+    pi(n // i) for 1 <= i <= r (large[0] is unused).  Sieving by each prime p
+    <= r takes S(v) -= S(v // p) - pi(p - 1) for every v >= p^2, so the cost
+    is O(n^(3/4)) integer operations in O(n^(1/2)) memory.
+    """
+    if not 1 <= n < _PI_TABLE_LIMIT:
+        raise ValueError(f"prime counting needs 1 <= n < 2^62, got {n}")
+    r = isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = n // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below = small[p - 1]
+        # large before small: each update reads counts of the previous round
+        m = min(r, n // (p * p))
+        k = min(m, r // p)
+        large[1:k + 1] -= large[p:k * p + 1:p] - below
+        large[k + 1:m + 1] -= small[n // (np.arange(k + 1, m + 1, dtype=np.int64) * p)] - below
+        if p * p <= r:
+            small[p * p:] -= small[np.arange(p * p, r + 1, dtype=np.int64) // p] - below
+    return small, large
+
+
+def prime_power_count(n: int) -> int:
+    """The number of prime powers p^k (k >= 1) in 2..n: the sum over k of pi(n^(1/k))."""
+    if n < 2:
+        return 0
+    small, large = _prime_pi_table(n)
+    # every k-th root with k >= 2 is at most isqrt(n), inside the small table
+    return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))
 
 
 def euler_phi(n: int) -> int:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, prod
 from typing import Callable, NamedTuple
 
 from . import families as fam
@@ -31,6 +32,7 @@ from .arith import (
     nth_root,
     power_of_two_exponent,
     prime_divisors,
+    prime_power_count,
     cyclotomic_eval,
     twisted_cyclotomic_eval,
 )
@@ -286,32 +288,63 @@ def _bounded_params(params, order_fn, bound):
     return out
 
 
-def _pp_candidates(bound, order_fn, start=2, keep=None):
-    """Prime powers x >= start with order_fn(x) <= bound, optionally filtered."""
+def _pp_candidates(bound, order_fn, keep):
+    """Prime powers x >= 2 with order_fn(x) <= bound that pass keep."""
     out = []
-    x = start
+    x = 2
     while order_fn(x) <= bound:
-        if is_prime_power(x) and (keep is None or keep(x)):
+        if is_prime_power(x) and keep(x):
             out.append(x)
         x += 1
     return out
 
 
-def _solve_increasing(fn, target, lo=2):
-    """The integer x >= lo with fn(x) == target, for strictly increasing fn."""
-    if fn(lo) > target:
-        return None
-    hi = lo
-    while fn(hi) < target:
-        hi *= 2
-    lo = max(lo, hi // 2)
-    while lo < hi:
+def _last_within(fn, bound, lo=1):
+    """The largest x >= lo with fn(x) <= bound, for increasing fn with
+    fn(lo) <= bound."""
+    hi = 2 * lo
+    while fn(hi) <= bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fn(mid) < target:
-            lo = mid + 1
+        if fn(mid) <= bound:
+            lo = mid
         else:
             hi = mid
-    return lo if fn(lo) == target else None
+    return lo
+
+
+@dataclass(frozen=True)
+class _PrimePowers:
+    """The prime powers in 2..bound, more than eight of them, kept as the
+    largest one and their number."""
+
+    bound: int
+    last: int
+    count: int
+
+    def __contains__(self, x: int) -> bool:
+        return 2 <= x <= self.bound and is_prime_power(x) is not None
+
+
+def _prime_powers_upto(bound):
+    """The prime powers in 2..bound: a list when there are at most eight
+    (the witness prints each one), else a _PrimePowers summary."""
+    count = prime_power_count(bound)
+    if count <= 8:
+        return [x for x in range(2, bound + 1) if is_prime_power(x)]
+    last = bound
+    while is_prime_power(last) is None:
+        last -= 1
+    return _PrimePowers(bound, last, count)
+
+
+def _solve_increasing(fn, target):
+    """The integer x >= 2 with fn(x) == target, for strictly increasing fn."""
+    if fn(2) > target:
+        return None
+    x = _last_within(fn, target, 2)
+    return x if fn(x) == target else None
 
 
 def _odd_two_power_candidates(base, bound, order_fn):
@@ -339,24 +372,14 @@ def _root_hits(target: int, exponents):
             if (root := nth_root(target, m)) ** m == target and _odd_prime_power(root)]
 
 
-def _e8_values(x: int) -> tuple[int, ...]:
-    base = [cyclotomic_eval(k, x) for k in (15, 20, 24, 30)]
-    out = []
-    for mask in range(1, 16):
-        v = 1
-        for i in range(4):
-            if mask >> i & 1:
-                v *= base[i]
-        out.append(v)
-    return tuple(out)
-
-
 def _fmt_params(params) -> str:
-    if not params:
-        return "{}"
-    if len(params) <= 8:
+    if isinstance(params, _PrimePowers):
+        first, last, count = 2, params.last, params.count
+    elif len(params) <= 8:
         return "{" + ", ".join(map(str, params)) + "}"
-    return f"{{{params[0]}, ..., {params[-1]}}} ({len(params)} values)"
+    else:
+        first, last, count = params[0], params[-1], len(params)
+    return f"{{{first}, ..., {last}}} ({count} values)"
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +482,17 @@ def _confirming(family, case, witness):
                  lambda g, _: (CONFIRMING, witness(g)), AN_OC_RECOGNITION)
 
 
+def _no_hit(target=lambda g: g.n2):
+    return lambda g, xs: f"no parameter in {_fmt_params(xs)} yields odd component {target(g)}"
+
+
 def _scan(family, case, params, values, kill, anchor=AN_ORDER_DIV, miss_anchor=AN_OC_TABLES,
           target=lambda g: g.n2):
     """A bounded scan of the parameters whose component values hit target."""
     return _Case(
         family, case,
         hits=lambda g, xs: [x for x in xs if target(g) in values(x)],
-        kill=kill, anchor=anchor,
-        miss=lambda g, xs: f"no parameter in {_fmt_params(xs)} yields odd component {target(g)}",
-        miss_anchor=miss_anchor, params=params,
+        kill=kill, anchor=anchor, miss=_no_hit(target), miss_anchor=miss_anchor, params=params,
     )
 
 
@@ -480,10 +505,24 @@ def _qprime_order(label, order_fn):
     return kill
 
 
-def _scan_pp(family, label, order_fn, values, keep=None, case=None):
-    """A scan of the prime powers q' with |label(q')| <= |G|."""
-    return _scan(family, case or f"{label}(q')", lambda g: _pp_candidates(g.go, order_fn, keep=keep),
+def _scan_pp(family, label, order_fn, values, keep, case):
+    """A scan of the prime powers q' with |label(q')| <= |G| that pass keep."""
+    return _scan(family, case, lambda g: _pp_candidates(g.go, order_fn, keep),
                  values, _qprime_order(label, order_fn))
+
+
+def _solve_pp(family, label, order_fn, components):
+    """The prime powers q' with |label(q')| <= |G| and some component value
+    equal to q^2+1.
+
+    Each component is strictly increasing in q', so each gives at most one
+    root by bisection; the parameter set is counted, not listed.
+    """
+    def hits(g, xs):
+        roots = {_solve_increasing(c, g.n2) for c in components}
+        return sorted(x for x in roots if x is not None and x in xs)
+    return _Case(family, f"{label}(q')", hits, _qprime_order(label, order_fn), AN_ORDER_DIV,
+                 miss=_no_hit(), params=lambda g: _prime_powers_upto(_last_within(order_fn, g.go)))
 
 
 def _dims(order_fn, stream=_odd_primes):
@@ -775,6 +814,12 @@ def _dminus_two_kill(g, p):
     return NEEDS_MANUAL_LEMMA, f"p={p}: product case holds numerically"
 
 
+# the products of one or more of Phi15, Phi20, Phi24, Phi30
+_E8_COMPONENTS = tuple(
+    lambda x, ks=ks: prod(cyclotomic_eval(k, x) for k in ks)
+    for n in range(1, 5) for ks in combinations((15, 20, 24, 30), n)
+)
+
 _A56 = (3, 5, 15)
 _THREE_POWER = _open(lambda g, m: f"m={m}: 2q^2 = 3^m - 3 holds despite 3 not dividing 2q^2")
 
@@ -806,19 +851,20 @@ _CASES: tuple[_Case, ...] = (
            "odd order components {components} exclude q^2+1 = {n2}", matched=False),
     _Case("Exceptional", "2B2(q')",
           lambda g, xs: [x for x in xs if g.n2 in _suzuki_values(x)], _suzuki_kill, AN_SYLOW,
-          miss=lambda g, xs: f"no parameter in {_fmt_params(xs)} yields odd component {g.n2}",
-          params=lambda g: _odd_two_power_candidates(2, g.go, fam.order_2B2),
+          miss=_no_hit(), params=lambda g: _odd_two_power_candidates(2, g.go, fam.order_2B2),
           empty="no candidate parameter: |2B2(8)| already exceeds |G|"),
-    _scan_pp("Exceptional", "G2", fam.order_G2,
-             lambda x: (cyclotomic_eval(3, x), cyclotomic_eval(6, x), cyclotomic_eval(3, x * x))),
-    _scan_pp("Exceptional", "3D4", fam.order_3D4, lambda x: (cyclotomic_eval(12, x),)),
+    _solve_pp("Exceptional", "G2", fam.order_G2,
+              (lambda x: cyclotomic_eval(3, x), lambda x: cyclotomic_eval(6, x),
+               lambda x: cyclotomic_eval(3, x * x))),
+    _solve_pp("Exceptional", "3D4", fam.order_3D4, (lambda x: cyclotomic_eval(12, x),)),
     _scan("Exceptional", "2G2(q')",
           lambda g: _odd_two_power_candidates(3, g.go, fam.order_2G2),
           lambda x: (twisted_cyclotomic_eval(6, 1, x), twisted_cyclotomic_eval(6, -1, x),
                      cyclotomic_eval(6, x)),
           _qprime_order("2G2", fam.order_2G2)),
-    _scan_pp("Exceptional", "F4", fam.order_F4,
-             lambda x: (x**4 + 1, x**4 - x * x + 1, x**8 - x**6 + 2 * x**4 - x * x + 1)),
+    _solve_pp("Exceptional", "F4", fam.order_F4,
+              (lambda x: x**4 + 1, lambda x: x**4 - x * x + 1,
+               lambda x: x**8 - x**6 + 2 * x**4 - x * x + 1)),
     _scan("Exceptional", "2F4(q')",
           lambda g: _odd_two_power_candidates(2, g.go, fam.order_2F4),
           lambda x: (twisted_cyclotomic_eval(12, 1, x), twisted_cyclotomic_eval(12, -1, x),
@@ -838,7 +884,7 @@ _CASES: tuple[_Case, ...] = (
           target=lambda g: g.three_q2p2),
     *(_named("Exceptional", name, order, vals, "q^2+1 = {n2} is not among the components {components}")
       for name, order, vals in fam.E_GROUP_CASES),
-    _scan_pp("Exceptional", "E8", fam.order_E8, _e8_values),
+    _solve_pp("Exceptional", "E8", fam.order_E8, _E8_COMPONENTS),
     _Case("PSL", "PSLn(q'), n >= 5 prime", _psl_n_hits, _psl_n_kill, AN_ORDER_DIV, miss=_no_root("n"),
           params=_dims(lambda n: fam.psl_order(n, 2), lambda: (n for n in _odd_primes() if n >= 5)),
           empty="no dimension: |PSL5(2)| already exceeds |G|"),

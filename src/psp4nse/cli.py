@@ -25,7 +25,7 @@ from .characterize import (
     verdict_json,
 )
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 DEFAULT_MAX_ENUM = 2_000_000
 

@@ -15,7 +15,6 @@ from .arith import divisors
 
 __all__ = [
     "FieldSpec",
-    "lexicographic_modulus",
     "multiplicative_order",
     "find_generator",
 ]

@@ -34,8 +34,6 @@ __all__ = [
     "enumerate_group",
     "sp4_group",
     "order_histogram",
-    "random_word_orders",
-    "perm_group_elements",
     "perm_nse",
     "z4_times_z7_z3",
     "z3_times_z7_z4",
@@ -331,21 +329,6 @@ def order_histogram(group: EnumeratedGroup) -> OrderHistogram:
     orders = _orders_vectorized(group.spec, group.keys, len(group) + 1)
     values, counts = np.unique(orders, return_counts=True)
     return OrderHistogram({int(v): int(c) for v, c in zip(values, counts)})
-
-
-def random_word_orders(
-    q: int, count: int, length: int = 24, seed: int = 0
-) -> np.ndarray:
-    """Orders of random length-`length` products of the Sp4(q) generators."""
-    gens = sp4_generators(q)
-    spec = gens[0].spec
-    g = _keys(spec, gens)
-    rng = np.random.default_rng(seed)
-    cur = np.full(count, Mat4.identity(spec).packed(), dtype=np.uint64)
-    for _ in range(length):
-        pick = rng.integers(0, len(g), size=count)
-        cur = _kmul(spec, cur, g[pick])
-    return _orders_vectorized(spec, cur, bound=4 * (q * q + 1))
 
 
 # ---------------------------------------------------------------------------

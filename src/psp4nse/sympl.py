@@ -33,7 +33,6 @@ __all__ = [
     "m_of_order",
     "nse_table",
     "nse_set",
-    "phi_divisibility_check",
     "nse_table_json",
     "class_table_csv",
 ]
@@ -240,12 +239,6 @@ def nse_table(q: int) -> NseTable:
 def nse_set(q: int) -> frozenset[int]:
     """The set of same-order counts of PSp4(q) (the values of the nse table)."""
     return nse_table(q).value_set()
-
-
-def phi_divisibility_check(q: int) -> bool:
-    """True iff 4 | phi(r) for every divisor r != 1 of q^2+1."""
-    validate_q(q)
-    return all(euler_phi(r) % 4 == 0 for r in divisors(q * q + 1)[1:])
 
 
 def nse_table_json(table: NseTable) -> dict:

@@ -1,7 +1,10 @@
 import random
+from bisect import bisect_right
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp4nse.arith import (
     CATALAN_EXCEPTIONAL,
@@ -18,9 +21,12 @@ from psp4nse.arith import (
     is_prime_power,
     nth_root,
     power_of_two_exponent,
+    prime_power_count,
     divisibility_predicates,
     search_catalan,
     twisted_cyclotomic_eval,
+    _prime_pi_table,
+    _small_primes,
 )
 
 
@@ -228,3 +234,32 @@ def test_misc_helpers():
     assert is_prime_power(81) == (3, 4)
     assert is_prime_power(12) is None
     assert coprime_part(979200, 10) == 9 * 17
+
+
+def _sieve_pi(v):
+    return bisect_right(_small_primes(), v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6 - 1))
+def test_prime_pi_table_equals_sieve(n):
+    small, large = _prime_pi_table(n)
+    r = isqrt(n)
+    assert len(small) == len(large) == r + 1
+    assert [int(v) for v in small] == [_sieve_pi(v) for v in range(r + 1)]
+    assert [int(v) for v in large[1:]] == [_sieve_pi(n // i) for i in range(1, r + 1)]
+
+
+def test_prime_power_count():
+    assert [prime_power_count(n) for n in range(-1, 10)] == [0, 0, 0, 1, 2, 3, 4, 4, 5, 6, 7]
+    for n in (1000, 65536, 10**6 - 1):
+        # each prime p contributes one prime power p^k <= n per k
+        by_sieve = 0
+        for p in _small_primes()[:_sieve_pi(n)]:
+            pk = p
+            while pk <= n:
+                by_sieve += 1
+                pk *= p
+        assert prime_power_count(n) == by_sieve
+    with pytest.raises(ValueError, match="2\\^62"):
+        prime_power_count(1 << 62)

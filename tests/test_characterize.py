@@ -1,13 +1,16 @@
 import hashlib
 import json
 import sys
-from math import lcm
+from bisect import bisect_right
+from itertools import combinations
+from math import isqrt, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp4nse.arith import is_prime_power
+from psp4nse.arith import cyclotomic_eval, is_prime_power
 from psp4nse.characterize import (
     CONFIRMING,
     ELIMINATED,
@@ -24,7 +27,17 @@ from psp4nse.characterize import (
     prime_count_membership,
     verdict_json,
 )
-from psp4nse.families import E_GROUP_CASES, SPORADIC_GROUPS, TITS_GROUP, order_2E6, order_E7
+from psp4nse.families import (
+    E_GROUP_CASES,
+    SPORADIC_GROUPS,
+    TITS_GROUP,
+    order_2E6,
+    order_3D4,
+    order_E7,
+    order_E8,
+    order_F4,
+    order_G2,
+)
 from psp4nse.sympl import group_order, m_of_order, nse_set, nse_table
 
 
@@ -283,7 +296,7 @@ def test_counts_match_m_of_order():
         assert m_of_order(q, 4) in a.a3
 
 
-@pytest.mark.parametrize("f", range(2, 21))
+@pytest.mark.parametrize("f", range(2, 27))
 def test_verdict_matches_recorded_digest(f, goldens):
     q = 1 << f
     text = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
@@ -370,3 +383,85 @@ def test_case_table_is_the_trace_order():
     trace = characterize(group_order(4), nse_set(4)).trace
     assert rows == [(e.family, e.case) for e in trace.entries]
     assert len(set(rows)) == len(rows)
+
+
+CHARACTERIZE = sys.modules["psp4nse.characterize"]
+
+
+@pytest.fixture(scope="module")
+def scanned_prime_powers():
+    # the scan the counted rows replaced, run once to the largest bound drawn
+    return CHARACTERIZE._pp_candidates(10**6, lambda x: x, lambda x: True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound=st.one_of(st.integers(0, 40), st.integers(0, 10**6)))
+def test_prime_power_summary_equals_scan(scanned_prime_powers, bound):
+    scanned = scanned_prime_powers[:bisect_right(scanned_prime_powers, bound)]
+    summary = CHARACTERIZE._prime_powers_upto(bound)
+    assert CHARACTERIZE._fmt_params(summary) == CHARACTERIZE._fmt_params(scanned)
+    if len(scanned) <= 8:
+        assert summary == scanned
+    else:
+        assert (summary.last, summary.count) == (scanned[-1], len(scanned))
+
+
+def _e8_values(x):
+    base = [cyclotomic_eval(k, x) for k in (15, 20, 24, 30)]
+    return tuple(prod(c) for n in range(1, 5) for c in combinations(base, n))
+
+
+# the component values each counted row scanned for, with its order polynomial
+SCANNED_VALUES = {
+    "G2(q')": (order_G2, lambda x: (cyclotomic_eval(3, x), cyclotomic_eval(6, x),
+                                    cyclotomic_eval(3, x * x))),
+    "3D4(q')": (order_3D4, lambda x: (cyclotomic_eval(12, x),)),
+    "F4(q')": (order_F4, lambda x: (x**4 + 1, x**4 - x * x + 1,
+                                    x**8 - x**6 + 2 * x**4 - x * x + 1)),
+    "E8(q')": (order_E8, _e8_values),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(sorted(SCANNED_VALUES)),
+    bound=st.integers(1, 600),
+    x=st.integers(2, 650),
+    pick=st.integers(0, 14),
+    delta=st.integers(-2, 2),
+)
+def test_solved_hits_equal_scanned_hits(case, bound, x, pick, delta):
+    # a target near one component value of x; x may exceed the bound or be
+    # no prime power, and the target may match no value at all
+    order_fn, values = SCANNED_VALUES[case]
+    vals = values(x)
+    target = vals[pick % len(vals)] + delta
+    row = next(r for r in CHARACTERIZE._CASES if r.family == "Exceptional" and r.case == case)
+    g = SimpleNamespace(n2=target, go=order_fn(bound))
+    scanned = [y for y in CHARACTERIZE._pp_candidates(g.go, order_fn, lambda y: True)
+               if target in values(y)]
+    assert row.hits(g, row.params(g)) == scanned
+
+
+def test_g2_witness_at_f32_matches_a_sieve():
+    q = 1 << 32
+    go = group_order(q)
+    bound = 7_597_760
+    assert order_G2(bound) <= go < order_G2(bound + 1)
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(range(p * p, bound + 1, p)))
+    powers = set()
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            pk = p * p
+            while pk <= bound:
+                powers.add(pk)
+                pk *= p
+    count = sieve.count(1) + len(powers)
+    last = next(x for x in range(bound, 1, -1) if sieve[x] or x in powers)
+    e = _case(q, "Exceptional", "G2(q')")
+    assert (e.status, e.witness) == (
+        ELIMINATED, f"no parameter in {{2, ..., {last}}} ({count} values) yields odd component {q * q + 1}")

@@ -17,12 +17,11 @@ from psp4nse.oracle import (
     order_histogram,
     perm_group_elements,
     perm_nse,
-    random_word_orders,
     sp4_generators,
     z3_times_z7_z4,
     z4_times_z7_z3,
 )
-from psp4nse.sympl import nse_table, spectrum
+from psp4nse.sympl import nse_table
 
 
 def test_generator_shapes():
@@ -170,11 +169,6 @@ def test_sp44_weisner_multiples(sp44_hist):
         total = sum(c for d, c in sp44_hist.counts.items() if d % n == 0)
         if total:
             assert total % coprime_part(go, n) == 0
-
-
-def test_random_words_q8_in_spectrum():
-    orders = random_word_orders(8, 100_000, seed=0)
-    assert set(int(v) for v in np.unique(orders)) <= set(spectrum(8))
 
 
 def test_mul_is_associative_on_sample(sp44):

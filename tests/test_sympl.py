@@ -16,7 +16,6 @@ from psp4nse.sympl import (
     nse_set,
     nse_table,
     nse_table_json,
-    phi_divisibility_check,
     spectrum,
 )
 
@@ -128,14 +127,6 @@ def test_class_invariants(q):
     for r in class_table(q):
         assert r.rep_order in spec
         assert order % r.class_length == 0
-
-
-def test_phi_divisibility():
-    assert phi_divisibility_check(4)
-    assert phi_divisibility_check(8)
-    assert phi_divisibility_check(32)
-    for f in range(2, 13):
-        assert phi_divisibility_check(1 << f)
 
 
 def test_nse_table_json():
