@@ -35,6 +35,7 @@ __all__ = [
     "prime_power_count",
     "euler_phi",
     "dedekind_psi",
+    "phi_psi",
     "cyclotomic_eval",
     "twisted_cyclotomic_eval",
     "classify_catalan",
@@ -261,6 +262,30 @@ def dedekind_psi(n: int) -> int:
     for p in factorize(n).primes:
         v = v // p * (p + 1)
     return v
+
+
+def phi_psi(n: int, primes) -> tuple[int, int]:
+    """(euler_phi(n), dedekind_psi(n)) for n >= 1, dividing n only by the given primes.
+
+    primes must be primes; ascending order lets the loop stop early.  A
+    cofactor other than 1 means n has a prime outside the list, and raises
+    ValueError instead of returning a wrong value.
+    """
+    if n < 1:
+        raise ValueError(f"phi_psi requires n >= 1, got {n}")
+    phi = psi = m = n
+    for p in primes:
+        if m == 1:
+            break
+        if m % p == 0:
+            phi = phi // p * (p - 1)
+            psi = psi // p * (p + 1)
+            m //= p
+            while m % p == 0:
+                m //= p
+    if m != 1:
+        raise ValueError(f"{n} has the cofactor {m} outside the given primes")
+    return phi, psi
 
 
 @lru_cache(maxsize=4096)

@@ -16,7 +16,6 @@ recognition theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, prod
 from typing import Callable, NamedTuple
@@ -24,12 +23,12 @@ from typing import Callable, NamedTuple
 from . import families as fam
 from .arith import (
     DivisibilityCheck,
-    dedekind_psi,
     divisors,
-    euler_phi,
+    factorize,
     is_prime,
     is_prime_power,
     nth_root,
+    phi_psi,
     power_of_two_exponent,
     prime_divisors,
     prime_power_count,
@@ -111,10 +110,17 @@ class AmcSets:
         return out
 
 
-def _int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"non-integral candidate count {x}")
-    return int(x)
+def _int(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integral candidate count {num}/{den}")
+    return quot
+
+
+def _divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
+    """(r, phi(r), psi(r)) for each divisor r > 1 of n, ascending, from the primes of n."""
+    primes = factorize(n).primes
+    return [(r, *phi_psi(r, primes)) for r in divisors(n)[1:]]
 
 
 def build_A_sets(q: int) -> AmcSets:
@@ -122,47 +128,37 @@ def build_A_sets(q: int) -> AmcSets:
 
     Deliberately restates the count formulas instead of calling m_of_order, so
     the union test against nse_set(q) is a genuine cross-check of the
-    dispatcher.
+    dispatcher.  Each fractional coefficient is cleared into one exact division.
     """
     validate_q(q)
     q3, q4 = q**3, q**4
     o4 = q4 - 1
-    qm_divs = divisors(q - 1)[1:]
-    qp_divs = divisors(q + 1)[1:]
+    # A4 and A6 read the divisors of q-1, A5 and A7 those of q+1
+    qm = _divisor_phi_psi(q - 1)
+    qp = _divisor_phi_psi(q + 1)
+    # phi(r) q^3 (q^2+1)(q+-1) (1 - q(q+-1)/2 + q(q+-1)/8 psi(r)), bracket times 8
     a4 = frozenset(
-        _int(
-            euler_phi(r)
-            * q3
-            * (q * q + 1)
-            * (q + 1)
-            * (1 - Fraction(q * (q + 1), 2) + Fraction(q * (q + 1), 8) * dedekind_psi(r))
-        )
-        for r in qm_divs
+        _int(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8)
+        for _, phi, psi in qm
     )
     a5 = frozenset(
-        _int(
-            euler_phi(r)
-            * q3
-            * (q * q + 1)
-            * (q - 1)
-            * (1 - Fraction(q * (q - 1), 2) + Fraction(q * (q - 1), 8) * dedekind_psi(r))
-        )
-        for r in qp_divs
+        _int(phi * q3 * (q * q + 1) * (q - 1) * (8 - 4 * q * (q - 1) + q * (q - 1) * psi), 8)
+        for _, phi, psi in qp
     )
+    phi_m = {phi for _, phi, _ in qm}
+    phi_p = {phi for _, phi, _ in qp}
     return AmcSets(
         a1=frozenset({1}),
         a2=frozenset({(q * q + 1) * o4}),
         a3=frozenset({q * q * (q * q - 1) * o4}),
         a4=a4,
         a5=a5,
-        a6=frozenset(euler_phi(r) * q3 * (q + 1) * o4 for r in qm_divs),
-        a7=frozenset(euler_phi(r) * q3 * (q - 1) * o4 for r in qp_divs),
-        a8=frozenset(
-            _int(Fraction(euler_phi(r * s), 2) * q4 * o4) for r in qm_divs for s in qp_divs
-        ),
+        a6=frozenset(phi * q3 * (q + 1) * o4 for phi in phi_m),
+        a7=frozenset(phi * q3 * (q - 1) * o4 for phi in phi_p),
+        # gcd(q-1, q+1) = 1, so phi(rs) = phi(r) phi(s)
+        a8=frozenset(_int(a * b * q4 * o4, 2) for a in phi_m for b in phi_p),
         a9=frozenset(
-            _int(Fraction(euler_phi(r), 4) * q4 * (q * q - 1) ** 2)
-            for r in divisors(q * q + 1)[1:]
+            _int(phi * q4 * (q * q - 1) ** 2, 4) for _, phi, _ in _divisor_phi_psi(q * q + 1)
         ),
     )
 
@@ -581,7 +577,7 @@ def _suzuki_kill(g, x):
     rt = isqrt(2 * x)
     s_plus = x + rt + 1
     base = g.q**4 * (g.q * g.q - 1) ** 2 // 4
-    surviving = [r for r in divisors(x - rt + 1)[1:] if (euler_phi(r) * base) % s_plus == 0]
+    surviving = [r for r, phi, _ in _divisor_phi_psi(x - rt + 1) if (phi * base) % s_plus == 0]
     if surviving:
         return NEEDS_MANUAL_LEMMA, f"q'={x}: {s_plus} divides the candidate count for r in {surviving}"
     return (ELIMINATED,

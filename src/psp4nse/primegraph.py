@@ -9,6 +9,7 @@ giving the order components whose product is the group order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .arith import factorize, prime_divisors
 from .sympl import group_order, spectrum
@@ -59,15 +60,12 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
         if s < 1 or order % s:
             raise ValueError(f"spectrum member {s} does not divide the order {order}")
     vertices = tuple(prime_divisors(order))
+    # every member divides the order, so its primes are among the vertices
+    supports = {tuple(p for p in vertices if member % p == 0) for member in spec_orders}
+    edges = {edge for ps in supports for edge in combinations(ps, 2)}
     uf = _UnionFind(vertices)
-    edges: set[tuple[int, int]] = set()
-    for member in spec_orders:
-        ps = prime_divisors(member)
-        for a_idx in range(len(ps)):
-            for b_idx in range(a_idx + 1, len(ps)):
-                a, b = ps[a_idx], ps[b_idx]
-                edges.add((a, b))
-                uf.union(a, b)
+    for a, b in edges:
+        uf.union(a, b)
     groups: dict[int, list[int]] = {}
     for v in vertices:
         groups.setdefault(uf.find(v), []).append(v)

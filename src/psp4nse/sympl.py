@@ -5,8 +5,8 @@ order is q^4(q^4-1)(q^2-1).  This module carries the parameterized conjugacy
 class table (families A1..A42, B1..B5, C1..C4, D1..D4 in Enomoto's labeling),
 the element-order spectrum, the exact same-order counts m_r, and their
 serializations.  Everything is exact integer arithmetic; the fractional
-coefficients in the count formulas are evaluated as rationals and asserted
-integral.
+coefficients in the count formulas are cleared into one division that is
+asserted exact.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from .arith import dedekind_psi, divisors, euler_phi, power_of_two_exponent
+from .arith import divisors, factorize, phi_psi, power_of_two_exponent
 
 __all__ = [
     "ClassDescriptor",
@@ -176,22 +175,38 @@ def family_class_count(q: int, family: str) -> int:
     return counts[family]
 
 
-def _as_int(x: Fraction, context: str) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"non-integral count in {context}: {x}")
-    return int(x)
+def _exact(num: int, den: int, context: str) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integral count in {context}: {num}/{den}")
+    return quot
+
+
+def _order_primes(q: int) -> tuple[int, ...]:
+    """{2} u pi(q^2-1) u pi(q^2+1), ascending: every prime of an element order.
+
+    Every element order divides 2(q^2-1)(q^2+1).  spectrum factors both
+    numbers, so factorize's cache serves them here.
+    """
+    return tuple(sorted({2, *factorize(q * q - 1).primes, *factorize(q * q + 1).primes}))
 
 
 def m_of_order(q: int, r: int) -> int:
-    """Exact number of elements of order r in PSp4(q).
+    """Exact number of elements of order r in PSp4(q)."""
+    validate_q(q)
+    if r < 1 or all(n % r for n in _order_moduli(q)):
+        raise ValueError(f"{r} is not an element order of PSp4({q})")
+    return _count(q, r, factorize(r).primes)
+
+
+def _count(q: int, r: int, primes: tuple[int, ...]) -> int:
+    """m_r for an element order r of PSp4(q); primes must hold every prime of r.
 
     Dispatch is by the unique way r sits against q: r in {1,2,4}; odd r
     dividing q^2+1; odd r dividing q^2-1 split coprimely across q-1 and q+1
     (gcd(q-1, q+1) = 1 for even q); or r = 2r' with r' dividing q-1 or q+1.
+    The fractional coefficients are cleared into one exact division.
     """
-    validate_q(q)
-    if r < 1 or all(n % r for n in _order_moduli(q)):
-        raise ValueError(f"{r} is not an element order of PSp4({q})")
     if r == 1:
         return 1
     if r == 2:
@@ -200,23 +215,22 @@ def m_of_order(q: int, r: int) -> int:
         return q * q * (q * q - 1) * (q**4 - 1)
     if r % 2 == 0:
         rr = r // 2
+        phi = phi_psi(rr, primes)[0]
         if (q - 1) % rr == 0:
-            return euler_phi(rr) * q**3 * (q + 1) * (q**4 - 1)
-        return euler_phi(rr) * q**3 * (q - 1) * (q**4 - 1)
+            return phi * q**3 * (q + 1) * (q**4 - 1)
+        return phi * q**3 * (q - 1) * (q**4 - 1)
+    phi, psi = phi_psi(r, primes)
     if (q * q + 1) % r == 0:
-        m = Fraction(euler_phi(r), 4) * q**4 * (q * q - 1) ** 2
-        return _as_int(m, f"m_{r}, r | q^2+1")
+        return _exact(phi * q**4 * (q * q - 1) ** 2, 4, f"m_{r}, r | q^2+1")
     r_minus, r_plus = gcd(r, q - 1), gcd(r, q + 1)
     if r_plus == 1:
-        bracket = 1 - Fraction(q * (q + 1), 2) + Fraction(q * (q + 1), 8) * dedekind_psi(r)
-        m = euler_phi(r) * q**3 * (q * q + 1) * (q + 1) * bracket
-        return _as_int(m, f"m_{r}, r | q-1")
+        # 1 - q(q+1)/2 + q(q+1)/8 psi(r), times 8
+        bracket = 8 - 4 * q * (q + 1) + q * (q + 1) * psi
+        return _exact(phi * q**3 * (q * q + 1) * (q + 1) * bracket, 8, f"m_{r}, r | q-1")
     if r_minus == 1:
-        bracket = 1 - Fraction(q * (q - 1), 2) + Fraction(q * (q - 1), 8) * dedekind_psi(r)
-        m = euler_phi(r) * q**3 * (q * q + 1) * (q - 1) * bracket
-        return _as_int(m, f"m_{r}, r | q+1")
-    m = Fraction(euler_phi(r), 2) * q**4 * (q**4 - 1)
-    return _as_int(m, f"m_{r}, mixed divisor of q^2-1")
+        bracket = 8 - 4 * q * (q - 1) + q * (q - 1) * psi
+        return _exact(phi * q**3 * (q * q + 1) * (q - 1) * bracket, 8, f"m_{r}, r | q+1")
+    return _exact(phi * q**4 * (q**4 - 1), 2, f"m_{r}, mixed divisor of q^2-1")
 
 
 @dataclass(frozen=True)
@@ -232,8 +246,9 @@ class NseTable:
 
 
 def nse_table(q: int) -> NseTable:
-    counts = {r: m_of_order(q, r) for r in spectrum(q)}
-    return NseTable(q, group_order(q), counts)
+    spec = spectrum(q)
+    primes = _order_primes(q)
+    return NseTable(q, group_order(q), {r: _count(q, r, primes) for r in spec})
 
 
 def nse_set(q: int) -> frozenset[int]:

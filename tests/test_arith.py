@@ -20,6 +20,7 @@ from psp4nse.arith import (
     is_prime,
     is_prime_power,
     nth_root,
+    phi_psi,
     power_of_two_exponent,
     prime_power_count,
     divisibility_predicates,
@@ -28,6 +29,7 @@ from psp4nse.arith import (
     _prime_pi_table,
     _small_primes,
 )
+from psp4nse.sympl import _order_primes
 
 
 def test_factorize_basics():
@@ -77,6 +79,37 @@ def test_phi_psi_multiplicative():
     for a, b in pairs:
         assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
         assert dedekind_psi(a * b) == dedekind_psi(a) * dedekind_psi(b)
+
+
+def _random_divisor(data, n):
+    d = 1
+    for p, e in factorize(n):
+        d *= p ** data.draw(st.integers(0, e))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 48), st.sampled_from(range(4)), st.data())
+def test_phi_psi_over_order_primes_equals_reference(f, which, data):
+    q = 1 << f
+    n = _random_divisor(data, (2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)[which])
+    primes = _order_primes(q)
+    assert phi_psi(n, primes) == (euler_phi(n), dedekind_psi(n))
+    # a prime of n outside the list leaves a cofactor
+    outside = data.draw(st.sampled_from(_small_primes()[:200]).filter(lambda p: p not in primes))
+    with pytest.raises(ValueError):
+        phi_psi(n * outside, primes)
+    if n > 1:
+        dropped = data.draw(st.sampled_from(factorize(n).primes))
+        with pytest.raises(ValueError):
+            phi_psi(n, [p for p in primes if p != dropped])
+
+
+def test_phi_psi_edge_cases():
+    assert phi_psi(1, ()) == (1, 1)
+    assert phi_psi(2**10 * 3**4, (2, 3, 5)) == (euler_phi(2**10 * 3**4), dedekind_psi(2**10 * 3**4))
+    with pytest.raises(ValueError):
+        phi_psi(0, (2,))
 
 
 def test_phi_divisor_sum_identity():

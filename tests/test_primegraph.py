@@ -1,6 +1,12 @@
-import pytest
+import hashlib
+import json
+from math import prod
 
-from psp4nse.arith import prime_divisors
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psp4nse.arith import divisors, factorize, prime_divisors
 from psp4nse.primegraph import build_graph, component_count, graph_json, separation_check
 from psp4nse.sympl import group_order, spectrum
 
@@ -75,3 +81,54 @@ def test_graph_json():
     assert obj["vertices"] == ["2", "3", "5", "17"]
     assert obj["order_components"] == ["57600", "17"]
     assert ["2", "3"] in obj["edges"]
+
+
+@pytest.mark.parametrize("f", [*range(2, 10), 32, 40, 48])
+def test_graph_matches_recorded_digest(f, goldens):
+    q = 1 << f
+    text = json.dumps(graph_json(build_graph(set(spectrum(q)), group_order(q))), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == goldens[f"graph/f{f}"]
+
+
+def _graph_by_factoring_members(spec_orders, order):
+    """The earlier build_graph: factor every member, union once per pair per member."""
+    vertices = tuple(prime_divisors(order))
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = set()
+    for member in spec_orders:
+        ps = prime_divisors(member)
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                edges.add((ps[i], ps[j]))
+                parent[find(ps[i])] = find(ps[j])
+    groups = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    comps = sorted(tuple(sorted(g)) for g in groups.values())
+    comps.sort(key=lambda c: (2 not in c, c[0]))
+    fac = factorize(order)
+    oc = tuple(prod(p**e for p, e in fac if p in comp) for comp in comps)
+    return vertices, tuple(sorted(edges)), tuple(comps), oc
+
+
+_PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 31, 257, 641, 65537, 6700417, 4278255361)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_PRIME_POOL), st.integers(1, 3)), max_size=6),
+    st.data(),
+)
+def test_build_graph_equals_factoring_every_member(prime_powers, data):
+    order = prod(p**e for p, e in dict(prime_powers).items())
+    chosen = data.draw(st.sets(st.sampled_from(divisors(order)), max_size=40))
+    spec = {1} | chosen
+    g = build_graph(spec, order)
+    assert (g.vertices, g.edges, g.components, g.order_components) == \
+        _graph_by_factoring_members(spec, order)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from psp4nse.arith import divisors, euler_phi
+from psp4nse.arith import divisors, euler_phi, factorize
 from psp4nse.sympl import (
     CLASS_FAMILIES,
     class_table,
@@ -73,6 +73,23 @@ def test_partition_identity_all_f():
     for f in range(2, 17):
         q = 1 << f
         assert sum(nse_table(q).counts.values()) == group_order(q)
+
+
+@pytest.mark.parametrize("f", [*range(2, 13), 32])
+def test_m_of_order_equals_nse_table(f):
+    # m_of_order reads the primes of r, nse_table those of q^2-1 and q^2+1
+    q = 1 << f
+    table = nse_table(q)
+    assert all(m_of_order(q, r) == c for r, c in table.counts.items())
+
+
+def test_nse_table_leaves_few_factorize_entries():
+    # phi and psi come from the primes of q^2-1 and q^2+1, not from
+    # factoring each of the 6,927 orders at f = 48
+    factorize.cache_clear()
+    spectrum.cache_clear()
+    nse_table(1 << 48)
+    assert factorize.cache_info().currsize <= 12
 
 
 def test_nse_table_keys_are_spectrum():
@@ -174,6 +191,6 @@ def test_spectrum_matches_recorded_digest(f, goldens):
     assert _digest(_dumps(obj)) == goldens[f"spectrum/f{f}"]
 
 
-@pytest.mark.parametrize("f", range(2, 27))
+@pytest.mark.parametrize("f", [*range(2, 27), 32, 40, 48])
 def test_nse_table_matches_recorded_digest(f, goldens):
     assert _digest(_dumps(nse_table_json(nse_table(1 << f)))) == goldens[f"nse/f{f}"]
