@@ -5,9 +5,20 @@ The matrix engine enumerates the full group breadth-first from the standard
 generators (root elements x_iota(1), torus elements h(g,1), h(1,g), and the two
 Weyl reflections).  Each matrix is one uint64 key laid out as Mat4.packed()
 (16 entries of f bits, row-major, entry (0,0) most significant), so q <= 16.
-Closure, order histograms and random words run on key arrays through one
-batched product that gathers from a table of field-scalar-times-packed-row
-products.  The scalar Mat4 API stays as the independent cross-check.
+Two numpy kernels do the work:
+
+- Closure multiplies each frontier chunk by every generator.  x -> x * g is
+  GF(2)-linear in the key bits, so each generator gets one 256-entry table per
+  key byte, and a product is 2f gathers xored together.
+- The order histogram runs one power chain per cyclic subgroup: a batch of
+  unassigned elements is powered to the identity, and every power g^j of an
+  element of order k found among the keys gets order k / gcd(j, k).  Those
+  chains use the general product, which gathers from a table of
+  field-scalar-times-packed-row products.
+
+Sp4(4) (979,200 elements) enumerates in about 0.5 s and its histogram takes
+about 0.4 s on a 2-vCPU x86-64 host.  The scalar Mat4 API stays as the
+independent cross-check.
 
 For even q the symplectic group is already simple modulo nothing: the center
 is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
@@ -16,7 +27,7 @@ is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -40,6 +51,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 1 << 18
+_ORDER_BATCH = 1 << 14
 
 
 class CapacityExceeded(RuntimeError):
@@ -204,12 +216,49 @@ def _kmul(spec: FieldSpec, a: np.ndarray, b) -> np.ndarray:
     return out
 
 
-@dataclass
+def _byte_tables(spec: FieldSpec, gens: np.ndarray) -> np.ndarray:
+    """T[j, i, v] = (v << 8i) * gens[j]: each generator's products with one key byte.
+
+    Right multiplication by a fixed matrix is GF(2)-linear in the 16f key bits,
+    so x * g is the xor over the 2f bytes of x of 256-entry tables, 8 KB per
+    generator at q = 4.
+    """
+    values = np.arange(256, dtype=np.uint64)
+    return np.stack([
+        np.stack([_kmul(spec, values << np.uint64(8 * i), g) for i in range(2 * spec.f)])
+        for g in gens
+    ])
+
+
+def _generator_products(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """P[j, r] = keys[r] * gens[j], from the byte tables of the generators."""
+    key_bytes = [((keys >> np.uint64(8 * i)) & np.uint64(0xFF)).view(np.intp)
+                 for i in range(tables.shape[1])]
+    prods = np.empty((len(tables), len(keys)), dtype=np.uint64)
+    for out, table in zip(prods, tables):
+        np.take(table[0], key_bytes[0], out=out)
+        for byte_table, byte in zip(table[1:], key_bytes[1:]):
+            out ^= byte_table[byte]
+    return prods
+
+
+@dataclass(frozen=True, eq=False)
 class EnumeratedGroup:
-    """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys."""
+    """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys.
+
+    The keys are copied into a read-only array, so the order histogram that
+    order_histogram stores on the group cannot go stale.
+    """
 
     spec: FieldSpec
     keys: np.ndarray
+
+    def __post_init__(self) -> None:
+        keys = np.array(self.keys, dtype=np.uint64)
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("group keys must be strictly increasing")
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -238,6 +287,12 @@ class EnumeratedGroup:
         j = Mat4(self.spec, _J_ENTRIES).packed()
         return bool((_kmul(self.spec, at, ja) == np.uint64(j)).all())
 
+    @cached_property
+    def _histogram(self) -> OrderHistogram:
+        orders = _element_orders(self.spec, self.keys, len(self) + 1)
+        counts = np.bincount(orders)
+        return OrderHistogram({k: int(c) for k, c in enumerate(counts.tolist()) if c})
+
 
 def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     """Closure of the generators under multiplication, breadth-first from identity.
@@ -252,14 +307,14 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         raise ValueError("generators over different field specs")
     if cap < 1:
         raise ValueError("cap must be positive")
-    gens = _keys(spec, generators)
+    tables = _byte_tables(spec, _keys(spec, generators))
     seen = _keys(spec, [Mat4.identity(spec)])  # sorted throughout
     frontier = seen
     while len(frontier):
         fresh_blocks = []
         for start in range(0, len(frontier), _CHUNK_ROWS):
             chunk = frontier[start : start + _CHUNK_ROWS]
-            prods = np.sort(np.concatenate([_kmul(spec, chunk, g) for g in gens]))
+            prods = np.sort(_generator_products(tables, chunk), axis=None)
             # np.unique would do, but its numpy-2 hash path is several times slower
             prods = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
             pos = np.searchsorted(seen, prods)
@@ -308,27 +363,58 @@ class OrderHistogram:
         return self.counts.get(order, 0)
 
 
-def _orders_vectorized(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray:
+def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray:
+    """The order of every key, from one power chain per cyclic subgroup.
+
+    Unassigned keys are taken _ORDER_BATCH at a time and powered until the
+    identity.  A power g^j of an element of order k has order k / gcd(j, k);
+    every power found among the sorted keys gets its order from that, so its
+    own chain is never run.  Powers outside the keys are skipped, so a key set
+    that is not closed gets the same orders as a chain per key.
+    """
     ident = np.uint64(Mat4.identity(spec).packed())
     orders = np.zeros(len(keys), dtype=np.int64)
-    idx = np.arange(len(keys))
-    cur = base = keys
-    for k in range(1, bound + 1):
-        done = cur == ident
-        orders[idx[done]] = k
-        keep = ~done
-        idx, cur, base = idx[keep], cur[keep], base[keep]
-        if not len(idx):
+    start = 0
+    while True:
+        free = np.flatnonzero(orders[start:] == 0)
+        if not len(free):
             return orders
-        cur = _kmul(spec, cur, base)
-    raise RuntimeError(f"element order exceeds bound {bound}")
+        batch = free[:_ORDER_BATCH] + start
+        start = int(batch[-1]) + 1
+        chain_orders = np.zeros(len(batch), dtype=np.int64)
+        powers, owners = [], []  # step j holds g^j and the index of g in the batch
+        idx = np.arange(len(batch))
+        cur = base = keys[batch]
+        for j in range(1, bound + 1):
+            powers.append(cur)
+            owners.append(idx)
+            done = cur == ident
+            chain_orders[idx[done]] = j
+            keep = ~done
+            idx, cur, base = idx[keep], cur[keep], base[keep]
+            if not len(idx):
+                break
+            cur = _kmul(spec, cur, base)
+        else:
+            raise RuntimeError(f"element order exceeds bound {bound}")
+        power = np.concatenate(powers)
+        k = chain_orders[np.concatenate(owners)]
+        step = np.repeat(np.arange(1, len(owners) + 1), [len(o) for o in owners])
+        power_orders = k // np.gcd(step, k)
+        by_key = np.argsort(power)
+        power, power_orders = power[by_key], power_orders[by_key]
+        pos = np.minimum(np.searchsorted(keys, power), len(keys) - 1)
+        hit = keys[pos] == power
+        orders[pos[hit]] = power_orders[hit]
 
 
 def order_histogram(group: EnumeratedGroup) -> OrderHistogram:
-    """Exact order histogram of an enumerated group."""
-    orders = _orders_vectorized(group.spec, group.keys, len(group) + 1)
-    values, counts = np.unique(orders, return_counts=True)
-    return OrderHistogram({int(v): int(c) for v, c in zip(values, counts)})
+    """Exact order histogram of an enumerated group.
+
+    It is computed on the first call and stored on the group, whose keys are
+    read-only; later calls return the same object.
+    """
+    return group._histogram
 
 
 # ---------------------------------------------------------------------------

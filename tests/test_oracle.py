@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from psp4nse.arith import coprime_part, divisors
 from psp4nse.gf2 import FieldSpec
 from psp4nse.oracle import (
     CapacityExceeded,
+    EnumeratedGroup,
     Mat4,
     PermGroupSpec,
+    _byte_tables,
+    _generator_products,
     _keys,
     _kmul,
     _pack,
@@ -113,6 +118,149 @@ def test_kmul_matches_scalar_mul(q, pairs):
     want = [x.mul(y).packed() for x, y in zip(a, b)]
     assert _kmul(spec, ka, kb).tolist() == want
     assert _kmul(spec, ka, kb[0]).tolist() == [x.mul(b[0]).packed() for x in a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([4, 8, 16]), data=st.data())
+def test_byte_table_products_match_kmul_and_scalar_mul(q, data):
+    gens = sp4_generators(q)
+    spec = gens[0].spec
+    raw = data.draw(st.lists(st.integers(0, (1 << (16 * spec.f)) - 1), min_size=1, max_size=6))
+    words = data.draw(st.lists(_words, min_size=1, max_size=3))
+    mats = [Mat4(spec, tuple(row.tolist())) for row in _unpack(spec, np.array(raw, np.uint64))]
+    mats += [_word(q, w) for w in words]
+    keys = _keys(spec, mats)
+    prods = _generator_products(_byte_tables(spec, _keys(spec, gens)), keys)
+    assert prods.shape == (8, len(mats))
+    for row, g in zip(prods, gens):
+        want = [m.mul(g).packed() for m in mats]
+        assert row.tolist() == want
+        assert _kmul(spec, keys, np.uint64(g.packed())).tolist() == want
+
+
+_SMALL_CAP = 400
+
+
+def _scalar_closure(gens, cap):
+    """Sorted keys of the closure by a Mat4.mul breadth-first search."""
+    ident = Mat4.identity(gens[0].spec)
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in gens:
+                p = m.mul(g)
+                if p not in seen:
+                    seen.add(p)
+                    fresh.append(p)
+        if len(seen) > cap:
+            raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+        frontier = fresh
+    return sorted(m.packed() for m in seen)
+
+
+def _chain_histogram(spec, keys):
+    """The order of every key by its own power chain, counted."""
+    ident = np.uint64(Mat4.identity(spec).packed())
+    keys = np.asarray(keys, dtype=np.uint64)
+    orders = np.zeros(len(keys), dtype=np.int64)
+    cur, todo = keys, np.arange(len(keys))
+    for k in range(1, len(keys) + 2):
+        done = cur == ident
+        orders[todo[done]] = k
+        cur, todo = cur[~done], todo[~done]
+        if not len(todo):
+            break
+        cur = _kmul(spec, cur, keys[todo])
+    else:
+        raise RuntimeError("element order exceeds the bound len(keys) + 1")
+    values, counts = np.unique(orders, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([4, 8]), subset=st.sets(st.integers(0, 7), min_size=1))
+def test_subgroup_closure_and_histogram_match_scalar_references(q, subset):
+    gens = [sp4_generators(q)[i] for i in sorted(subset)]
+    try:
+        want = _scalar_closure(gens, _SMALL_CAP)
+    except CapacityExceeded:
+        with pytest.raises(CapacityExceeded):
+            enumerate_group(gens, _SMALL_CAP)
+        return
+    group = enumerate_group(gens, _SMALL_CAP)
+    assert group.keys.tolist() == want
+    assert order_histogram(group).counts == _chain_histogram(group.spec, group.keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_histogram_of_non_closed_subsets_matches_per_element_chain(sp44, data):
+    # a random part of the cyclic subgroups of a few elements of Sp4(4), plus
+    # other random elements; both sides raise when an order exceeds len + 1
+    ident = Mat4.identity(sp44.spec)
+    index = st.integers(0, len(sp44) - 1)
+    picks = data.draw(st.lists(index, min_size=1, max_size=5))
+    keys = {int(sp44.keys[i]) for i in data.draw(st.lists(index, max_size=24))}
+    for i in picks:
+        g = Mat4(sp44.spec, tuple(_unpack(sp44.spec, sp44.keys[i : i + 1])[0].tolist()))
+        power = g
+        while True:
+            if data.draw(st.booleans()):
+                keys.add(power.packed())
+            if power == ident:
+                break
+            power = power.mul(g)
+    keys = np.array(sorted(keys), dtype=np.uint64)
+    part = EnumeratedGroup(sp44.spec, keys)
+    try:
+        want = _chain_histogram(sp44.spec, keys)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match=f"element order exceeds bound {len(keys) + 1}"):
+            order_histogram(part)
+        return
+    assert order_histogram(part).counts == want
+
+
+@pytest.mark.parametrize("missing", range(9))
+def test_torus_missing_one_element_gets_per_element_histogram(missing):
+    gens = sp4_generators(4)
+    torus = enumerate_group([gens[4], gens[5]], cap=100)
+    keys = np.delete(torus.keys, missing)
+    hist = order_histogram(EnumeratedGroup(torus.spec, keys))
+    assert hist.counts == _chain_histogram(torus.spec, keys)
+    has_identity = Mat4.identity(torus.spec).packed() in keys.tolist()
+    assert hist.counts == ({1: 1, 3: 7} if has_identity else {3: 8})
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # idempotent-like, rank 3
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # nilpotent
+])
+def test_singular_matrix_hits_order_bound(rows):
+    spec = FieldSpec.for_degree(2)
+    mats = [Mat4.identity(spec), *sp4_generators(4), Mat4.from_rows(spec, rows)]
+    keys = np.array(sorted({m.packed() for m in mats}), dtype=np.uint64)
+    with pytest.raises(RuntimeError, match=f"element order exceeds bound {len(keys) + 1}"):
+        order_histogram(EnumeratedGroup(spec, keys))
+
+
+def test_enumerated_group_is_immutable():
+    gens = sp4_generators(4)
+    source = enumerate_group([gens[4], gens[5]], cap=100).keys.copy()
+    group = EnumeratedGroup(gens[0].spec, source)
+    source[0] ^= np.uint64(1)  # the group holds its own copy
+    assert group.keys[0] != source[0]
+    with pytest.raises(ValueError):
+        group.keys[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        group.keys = source
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnumeratedGroup(group.spec, group.keys[::-1])
+
+
+def test_histogram_computed_once_per_group(sp44, sp44_hist):
+    assert order_histogram(sp44) is sp44_hist
 
 
 @settings(max_examples=60, deadline=None)
