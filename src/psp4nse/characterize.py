@@ -16,7 +16,7 @@ recognition theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, filterfalse, takewhile
 from math import gcd, isqrt, prod
 from typing import Callable, NamedTuple
 
@@ -36,7 +36,7 @@ from .arith import (
     twisted_cyclotomic_eval,
 )
 from .primegraph import separation_check
-from .sympl import group_order, nse_set, nse_table, validate_q
+from .sympl import _exact, group_order, nse_set, nse_table, validate_q
 
 __all__ = [
     "AmcSets",
@@ -86,8 +86,7 @@ AN_NILPOTENT = "a normal Sylow subgroup of the nilpotent kernel forces a same-or
 AN_OC_RECOGNITION = "PSp4(q) is recognized among finite groups by its order components"
 
 
-@dataclass(frozen=True)
-class AmcSets:
+class AmcSets(NamedTuple):
     """The nine candidate-count sets indexed by the same-order count shapes."""
 
     a1: frozenset[int]
@@ -100,21 +99,8 @@ class AmcSets:
     a8: frozenset[int]
     a9: frozenset[int]
 
-    def as_tuple(self) -> tuple[frozenset[int], ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7, self.a8, self.a9)
-
     def union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for s in self.as_tuple():
-            out |= s
-        return out
-
-
-def _int(num: int, den: int) -> int:
-    quot, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integral candidate count {num}/{den}")
-    return quot
+        return frozenset().union(*self)
 
 
 def _divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
@@ -138,11 +124,11 @@ def build_A_sets(q: int) -> AmcSets:
     qp = _divisor_phi_psi(q + 1)
     # phi(r) q^3 (q^2+1)(q+-1) (1 - q(q+-1)/2 + q(q+-1)/8 psi(r)), bracket times 8
     a4 = frozenset(
-        _int(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8)
+        _exact(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8, "A4")
         for _, phi, psi in qm
     )
     a5 = frozenset(
-        _int(phi * q3 * (q * q + 1) * (q - 1) * (8 - 4 * q * (q - 1) + q * (q - 1) * psi), 8)
+        _exact(phi * q3 * (q * q + 1) * (q - 1) * (8 - 4 * q * (q - 1) + q * (q - 1) * psi), 8, "A5")
         for _, phi, psi in qp
     )
     phi_m = {phi for _, phi, _ in qm}
@@ -156,9 +142,9 @@ def build_A_sets(q: int) -> AmcSets:
         a6=frozenset(phi * q3 * (q + 1) * o4 for phi in phi_m),
         a7=frozenset(phi * q3 * (q - 1) * o4 for phi in phi_p),
         # gcd(q-1, q+1) = 1, so phi(rs) = phi(r) phi(s)
-        a8=frozenset(_int(a * b * q4 * o4, 2) for a in phi_m for b in phi_p),
+        a8=frozenset(_exact(a * b * q4 * o4, 2, "A8") for a in phi_m for b in phi_p),
         a9=frozenset(
-            _int(phi * q4 * (q * q - 1) ** 2, 4) for _, phi, _ in _divisor_phi_psi(q * q + 1)
+            _exact(phi * q4 * (q * q - 1) ** 2, 4, "A9") for _, phi, _ in _divisor_phi_psi(q * q + 1)
         ),
     )
 
@@ -253,46 +239,21 @@ class Verdict:
 # search helpers
 
 def _odd_primes():
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+    return filter(is_prime, count(3, 2))
 
 
 def _two_powers(start):
-    m = start
-    while True:
-        yield m
-        m *= 2
-
-
-def _two_t_plus_one():
-    t = 2
-    while True:
-        yield (1 << t) + 1
-        t += 1
+    return (start << k for k in count())
 
 
 def _bounded_params(params, order_fn, bound):
     """Prefix of a monotone parameter stream whose group order stays <= bound."""
-    out = []
-    for p in params:
-        if order_fn(p) > bound:
-            break
-        out.append(p)
-    return out
+    return list(takewhile(lambda p: order_fn(p) <= bound, params))
 
 
 def _pp_candidates(bound, order_fn, keep):
     """Prime powers x >= 2 with order_fn(x) <= bound that pass keep."""
-    out = []
-    x = 2
-    while order_fn(x) <= bound:
-        if is_prime_power(x) and keep(x):
-            out.append(x)
-        x += 1
-    return out
+    return [x for x in _bounded_params(count(2), order_fn, bound) if is_prime_power(x) and keep(x)]
 
 
 def _last_within(fn, bound, lo=1):
@@ -341,16 +302,6 @@ def _solve_increasing(fn, target):
         return None
     x = _last_within(fn, target, 2)
     return x if fn(x) == target else None
-
-
-def _odd_two_power_candidates(base, bound, order_fn):
-    """base^(2t+1) for t >= 1 with order_fn <= bound (Suzuki/Ree parameter sets)."""
-    out = []
-    e = 3
-    while order_fn(base**e) <= bound:
-        out.append(base**e)
-        e += 2
-    return out
 
 
 def _is_square(n: int) -> bool:
@@ -501,12 +452,6 @@ def _qprime_order(label, order_fn):
     return kill
 
 
-def _scan_pp(family, label, order_fn, values, keep, case):
-    """A scan of the prime powers q' with |label(q')| <= |G| that pass keep."""
-    return _scan(family, case, lambda g: _pp_candidates(g.go, order_fn, keep),
-                 values, _qprime_order(label, order_fn))
-
-
 def _solve_pp(family, label, order_fn, components):
     """The prime powers q' with |label(q')| <= |G| and some component value
     equal to q^2+1.
@@ -584,32 +529,35 @@ def _suzuki_kill(g, x):
             f"q'={x}: {s_plus} divides no candidate count phi(r)q^4(q^2-1)^2/4 with r | {x - rt + 1}")
 
 
-def _psl_n_hits(g, dims):
-    # n >= 5 prime: component (q'^n - 1) / ((q'-1)(n, q'-1)).  For each
-    # dimension the cyclotomic quotient is strictly increasing in q', so the
-    # unique candidate q' comes from bisection (once per value of the gcd).
-    hits = []
-    for n in dims:
-        for d in (1, n):
-            x = _solve_increasing(lambda y, n=n: (y**n - 1) // (y - 1), g.n2 * d)
-            if x is not None and gcd(n, x - 1) == d and is_prime_power(x):
-                hits.append((n, x))
+def _roots(quotient, scales, accept):
+    """The hits (n, q') over the dimensions n with quotient(q', n) = d (q^2+1)
+    for a scale d in scales(n), accept(n, q', d) and q' a prime power.
+
+    For each dimension the quotient is strictly increasing in q', so each
+    scale gives at most one q', found by bisection.
+    """
+    def hits(g, dims):
+        out = []
+        for n in dims:
+            for d in scales(n):
+                x = _solve_increasing(lambda y, n=n: quotient(y, n), g.n2 * d)
+                if x is not None and accept(n, x, d) and is_prime_power(x):
+                    out.append((n, x))
+        return out
     return hits
+
+
+def _psl_quotient(y, n):
+    return (y**n - 1) // (y - 1)
+
+
+def _psu_quotient(y, n):
+    return (y**n + 1) // (y + 1)
 
 
 def _psl_n_kill(g, hit):
     n, x = hit
     return _tagged_order(g.go, fam.psl_order(n, x), f"(n,q')=({n},{x})", f"PSL{n}({x})")
-
-
-def _psl_p1_hits(g, dims):
-    # n = p+1, p odd prime, q'-1 | p +- 1: component (q'^p - 1)/(q'-1)
-    hits = []
-    for p in dims:
-        x = _solve_increasing(lambda y, p=p: (y**p - 1) // (y - 1), g.n2)
-        if x is not None and is_prime_power(x) and ((p + 1) % (x - 1) == 0 or (p - 1) % (x - 1) == 0):
-            hits.append((p, x))
-    return hits
 
 
 def _psl_p1_kill(g, hit):
@@ -674,31 +622,10 @@ def _psu_shapes(g):
                for p in _bounded_params(_odd_primes(), lambda p: fam.psu_order(p + 1, 2), g.go)])
 
 
-def _psu_hits(g, shapes):
-    # the alternating quotient is strictly increasing in q', so bisection finds
-    # the unique candidate per dimension
-    hits = []
-    for shape, p in shapes:
-        x = _solve_increasing(lambda y, p=p: (y**p + 1) // (y + 1), g.n2)
-        if x is not None and is_prime_power(x) and (shape == "n=p+1" or gcd(x + 1, p) == 1):
-            hits.append((shape, p, x))
-    return hits
-
-
 def _psu_kill(g, hit):
-    shape, p, x = hit
+    (shape, p), x = hit
     n = p if shape == "n=p" else p + 1
     return _tagged_order(g.go, fam.psu_order(n, x), f"{shape}, (p,q')=({p},{x})", f"PSU{n}({x})")
-
-
-def _psu_p_hits(g, dims):
-    # n = p with (q'+1, p) = p: component (q'^p + 1)/((q'+1) p)
-    hits = []
-    for p in dims:
-        x = _solve_increasing(lambda y, p=p: (y**p + 1) // (y + 1), g.n2 * p)
-        if x is not None and is_prime_power(x) and gcd(x + 1, p) == p:
-            hits.append((p, x))
-    return hits
 
 
 def _psu_p_kill(g, hit):
@@ -847,14 +774,14 @@ _CASES: tuple[_Case, ...] = (
            "odd order components {components} exclude q^2+1 = {n2}", matched=False),
     _Case("Exceptional", "2B2(q')",
           lambda g, xs: [x for x in xs if g.n2 in _suzuki_values(x)], _suzuki_kill, AN_SYLOW,
-          miss=_no_hit(), params=lambda g: _odd_two_power_candidates(2, g.go, fam.order_2B2),
+          miss=_no_hit(), params=_dims(fam.order_2B2, lambda: (2**e for e in count(3, 2))),
           empty="no candidate parameter: |2B2(8)| already exceeds |G|"),
     _solve_pp("Exceptional", "G2", fam.order_G2,
               (lambda x: cyclotomic_eval(3, x), lambda x: cyclotomic_eval(6, x),
                lambda x: cyclotomic_eval(3, x * x))),
     _solve_pp("Exceptional", "3D4", fam.order_3D4, (lambda x: cyclotomic_eval(12, x),)),
     _scan("Exceptional", "2G2(q')",
-          lambda g: _odd_two_power_candidates(3, g.go, fam.order_2G2),
+          _dims(fam.order_2G2, lambda: (3**e for e in count(3, 2))),
           lambda x: (twisted_cyclotomic_eval(6, 1, x), twisted_cyclotomic_eval(6, -1, x),
                      cyclotomic_eval(6, x)),
           _qprime_order("2G2", fam.order_2G2)),
@@ -862,18 +789,20 @@ _CASES: tuple[_Case, ...] = (
               (lambda x: x**4 + 1, lambda x: x**4 - x * x + 1,
                lambda x: x**8 - x**6 + 2 * x**4 - x * x + 1)),
     _scan("Exceptional", "2F4(q')",
-          lambda g: _odd_two_power_candidates(2, g.go, fam.order_2F4),
+          _dims(fam.order_2F4, lambda: (2**e for e in count(3, 2))),
           lambda x: (twisted_cyclotomic_eval(12, 1, x), twisted_cyclotomic_eval(12, -1, x),
                      cyclotomic_eval(12, x)),
           _qprime_order("2F4", fam.order_2F4)),
-    _scan_pp("Exceptional", "E6", fam.order_E6, lambda x: (cyclotomic_eval(9, x),),
-             keep=lambda x: x % 3 != 1, case="E6(q'), q' = 0,-1 (mod 3)"),
+    _scan("Exceptional", "E6(q'), q' = 0,-1 (mod 3)",
+          lambda g: _pp_candidates(g.go, fam.order_E6, keep=lambda x: x % 3 != 1),
+          lambda x: (cyclotomic_eval(9, x),), _qprime_order("E6", fam.order_E6)),
     _scan("Exceptional", "E6(q'), q' = 1 (mod 3)",
           lambda g: _pp_candidates(g.go, fam.order_E6, keep=lambda x: x % 3 == 1),
           lambda x: (x**6 + x**3,), _e6_special_kill, AN_3Q2P2, AN_3Q2P2,
           target=lambda g: g.three_q2p2),
-    _scan_pp("Exceptional", "2E6", fam.order_2E6, lambda x: (cyclotomic_eval(18, x),),
-             keep=lambda x: x % 3 != 2, case="2E6(q'), q' = 0,1 (mod 3)"),
+    _scan("Exceptional", "2E6(q'), q' = 0,1 (mod 3)",
+          lambda g: _pp_candidates(g.go, fam.order_2E6, keep=lambda x: x % 3 != 2),
+          lambda x: (cyclotomic_eval(18, x),), _qprime_order("2E6", fam.order_2E6)),
     _scan("Exceptional", "2E6(q'), q' = -1 (mod 3)",
           lambda g: _pp_candidates(g.go, fam.order_2E6, keep=lambda x: x % 3 == 2),
           lambda x: (x**6 - x**3,), _e6_special_kill, AN_3Q2P2, AN_3Q2P2,
@@ -881,10 +810,17 @@ _CASES: tuple[_Case, ...] = (
     *(_named("Exceptional", name, order, vals, "q^2+1 = {n2} is not among the components {components}")
       for name, order, vals in fam.E_GROUP_CASES),
     _solve_pp("Exceptional", "E8", fam.order_E8, _E8_COMPONENTS),
-    _Case("PSL", "PSLn(q'), n >= 5 prime", _psl_n_hits, _psl_n_kill, AN_ORDER_DIV, miss=_no_root("n"),
+    # n >= 5 prime: component (q'^n - 1) / ((q'-1)(n, q'-1))
+    _Case("PSL", "PSLn(q'), n >= 5 prime",
+          _roots(_psl_quotient, lambda n: (1, n), lambda n, x, d: gcd(n, x - 1) == d),
+          _psl_n_kill, AN_ORDER_DIV, miss=_no_root("n"),
           params=_dims(lambda n: fam.psl_order(n, 2), lambda: (n for n in _odd_primes() if n >= 5)),
           empty="no dimension: |PSL5(2)| already exceeds |G|"),
-    _Case("PSL", "PSL(p+1)(q')", _psl_p1_hits, _psl_p1_kill, AN_ORDER_DIV, miss=_no_root("p"),
+    # n = p+1, p odd prime, q'-1 | p +- 1: component (q'^p - 1)/(q'-1)
+    _Case("PSL", "PSL(p+1)(q')",
+          _roots(_psl_quotient, lambda p: (1,),
+                 lambda p, x, d: (p + 1) % (x - 1) == 0 or (p - 1) % (x - 1) == 0),
+          _psl_p1_kill, AN_ORDER_DIV, miss=_no_root("p"),
           params=_dims(lambda p: fam.psl_order(p + 1, 2)),
           empty="no dimension: |PSL4(2)| already exceeds |G|"),
     _small_pair("PSL", "PSL3", (3, 5, 7, 15, 21, 35, 105),
@@ -916,10 +852,16 @@ _CASES: tuple[_Case, ...] = (
                            "and the section forces oc(G) = oc(PSp4(q))")),
     _small_pair("PSU", "PSU", (5, 7, 11, 77),
                 "PSU4(2)", fam.psu_order(4, 2), "PSU6(2)", fam.psu_order(6, 2)),
-    _Case("PSU", "PSUn(q'), n = p or p+1", _psu_hits, _psu_kill, AN_ORDER_DIV,
+    _Case("PSU", "PSUn(q'), n = p or p+1",
+          _roots(lambda y, s: _psu_quotient(y, s[1]), lambda s: (1,),
+                 lambda s, x, d: s[0] == "n=p+1" or gcd(x + 1, s[1]) == 1),
+          _psu_kill, AN_ORDER_DIV,
           miss=lambda g, shapes: _no_root("p")(g, sorted({p for _, p in shapes})),
           params=_psu_shapes, empty="no dimension: |PSU3(2)| already exceeds |G|"),
-    _Case("PSU", "PSUp(q'), p | q'+1", _psu_p_hits, _psu_p_kill, AN_3Q2P2, miss=_no_root("p"),
+    # n = p with (q'+1, p) = p: component (q'^p + 1)/((q'+1) p)
+    _Case("PSU", "PSUp(q'), p | q'+1",
+          _roots(_psu_quotient, lambda p: (p,), lambda p, x, d: gcd(x + 1, p) == p),
+          _psu_p_kill, AN_3Q2P2, miss=_no_root("p"),
           params=_dims(lambda p: fam.psu_order(p, 2)),
           empty="no dimension: |PSU3(2)| already exceeds |G|"),
     _psp_prime(2),
@@ -958,12 +900,12 @@ _CASES: tuple[_Case, ...] = (
           AN_POWER2, AN_POWER2),
     _scan("POmega", "D-_m(3), m = 2^t+1 not prime",
           _dims(lambda m: fam.pomega_minus_order(m, 3),
-                lambda: (m for m in _two_t_plus_one() if not is_prime(m))),
+                lambda: filterfalse(is_prime, ((1 << t) + 1 for t in count(2)))),
           lambda m: ((3 ** (m - 1) + 1) // 2,),
           _open(lambda g, m: f"m={m}: 2q^2+1 = 3^(m-1) unresolved"), AN_CRESCENZO, AN_CRESCENZO),
     _scan("POmega", "D-_m(3), m = 2^t+1 prime",
           _dims(lambda m: fam.pomega_minus_order(m, 3),
-                lambda: (m for m in _two_t_plus_one() if is_prime(m))),
+                lambda: filter(is_prime, ((1 << t) + 1 for t in count(2)))),
           lambda m: ((3 ** (m - 1) + 1) // 2, (3**m + 1) // 4,
                      ((3 ** (m - 1) + 1) // 2) * ((3**m + 1) // 4)),
           _dminus_fermat_kill, AN_2Q2P1, AN_2Q2P1),
@@ -1021,11 +963,10 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
         checks.append(PrimeCountCheck(r, table.counts[r], bucket, table.counts[r] in allowed))
     separated = separation_check(q)
     excluded, frob_witnesses = frobenius_exclusion(q)
-    entries: list[TraceEntry] = []
-    for family in FAMILIES:
-        entries.extend(eliminate_family(q, family))
+    g = _G(q, order)
+    entries = tuple(_run_case(row, g) for row in _CASES)
     trace = EliminationTrace(
-        a_sets, tuple(checks), separated, excluded, frob_witnesses, tuple(entries)
+        a_sets, tuple(checks), separated, excluded, frob_witnesses, entries
     )
     if not all(c.ok for c in checks) or not separated or not excluded:
         raise RuntimeError(f"internal consistency failure in the trace for q={q}")
@@ -1047,7 +988,7 @@ def verdict_json(verdict: Verdict) -> dict:
     out["trace"] = {
         "a_sets": {
             f"A{i}": [str(v) for v in sorted(s)]
-            for i, s in enumerate(t.a_sets.as_tuple(), start=1)
+            for i, s in enumerate(t.a_sets, start=1)
         },
         "prime_count_checks": [
             {"r": str(c.r), "value": str(c.value), "allowed": c.bucket, "ok": c.ok}

@@ -275,10 +275,6 @@ class EnumeratedGroup:
         """The (n, 4, 4) entries, unpacked on each access."""
         return _unpack(self.spec, self.keys).reshape(-1, 4, 4)
 
-    def __iter__(self):
-        for row in _unpack(self.spec, self.keys):
-            yield Mat4(self.spec, tuple(row.tolist()))
-
     def all_symplectic(self) -> bool:
         """Vectorized check that every element preserves the alternating form."""
         mats = self.mats

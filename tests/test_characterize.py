@@ -243,6 +243,17 @@ def test_perturbation_soundness(q):
             assert verdict.outcome != OUTCOME_ISOMORPHIC, (r, delta)
 
 
+@settings(max_examples=30, deadline=None)
+@given(f=st.integers(9, 40), data=st.data())
+def test_perturbed_count_is_not_isomorphic(f, data):
+    # one same-order count moved by one, at q well beyond the fixed q = 4, 8
+    q = 1 << f
+    counts = dict(nse_table(q).counts)
+    r = data.draw(st.sampled_from(sorted(counts)), label="r")
+    counts[r] += data.draw(st.sampled_from((1, -1)), label="delta")
+    assert characterize(group_order(q), set(counts.values())).outcome != OUTCOME_ISOMORPHIC
+
+
 def test_sporadic_data_validity():
     for grp in SPORADIC_GROUPS + (TITS_GROUP,):
         order = grp.order

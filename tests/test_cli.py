@@ -1,10 +1,15 @@
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp4nse import cli
-from psp4nse.sympl import nse_table
+from psp4nse.characterize import characterize, verdict_json
+from psp4nse.sympl import group_order, nse_set, nse_table, nse_table_json
 
 
 def run_cli(args):
@@ -66,6 +71,24 @@ def test_characterize_array_input(tmp_path):
     assert run_cli(["characterize", "--order", "979200", "--nse-file", str(nse_file),
                     "--out", str(out)]) == 0
     assert json.loads(out.read_text())["outcome"] == "IsomorphicToPSp4"
+
+
+@settings(max_examples=12, deadline=None)
+@given(f=st.integers(2, 26))
+def test_characterize_nse_file_round_trip(tmp_path_factory, f):
+    # the nse_q{q}.json that compute writes, and its values as an array of
+    # decimal strings, both give exactly the verdict of the library call
+    q = 1 << f
+    table = nse_table_json(nse_table(q))
+    expected = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
+    out_dir = tmp_path_factory.mktemp("nse")
+    for name, obj in ((f"nse_q{q}.json", table), ("nse.json", list(table["counts"].values()))):
+        path = out_dir / name
+        cli._write_json(path, obj)  # as compute writes its files
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = run_cli(["characterize", "--order", str(group_order(q)), "--nse-file", str(path)])
+        assert (rc, out.getvalue(), err.getvalue()) == (0, expected, f"outcome: IsomorphicToPSp4 (q={q})\n")
 
 
 @pytest.mark.parametrize("bad", [4335.0, True, "4335.0", " 4335", None, [4335]])
