@@ -42,6 +42,7 @@ __all__ = [
     "search_catalan",
     "divisibility_predicates",
     "power_of_two_exponent",
+    "last_within",
     "nth_root",
     "coprime_part",
 ]
@@ -419,7 +420,6 @@ class DivisibilityReport:
     """The five divisibility clauses about q^4(q^4-1)(q^2-1)."""
 
     q: int
-    dividend: int
     checks: tuple[DivisibilityCheck, ...]
 
     def check(self, label: str) -> DivisibilityCheck:
@@ -454,7 +454,24 @@ def divisibility_predicates(q: int) -> DivisibilityReport:
         ("v", q**4 - 9),
     )
     checks = tuple(DivisibilityCheck.of(label, dividend, d) for label, d in values)
-    return DivisibilityReport(q, dividend, checks)
+    return DivisibilityReport(q, checks)
+
+
+def last_within(fn, bound: int, lo: int = 1) -> int:
+    """The largest x >= lo with fn(x) <= bound, for increasing fn with fn(lo) <= bound.
+
+    Gallops from lo with doubling power-of-two steps until fn passes bound,
+    then halves the step down to 1, keeping each step that stays within bound.
+    """
+    step = 1 << (lo.bit_length() - 1)
+    while fn(lo + step) <= bound:
+        lo += step
+        step <<= 1
+    while step > 1:
+        step >>= 1
+        if fn(lo + step) <= bound:
+            lo += step
+    return lo
 
 
 def nth_root(n: int, k: int) -> int:
@@ -463,15 +480,9 @@ def nth_root(n: int, k: int) -> int:
         raise ValueError(f"nth_root requires n >= 0, k >= 1, got {n}, {k}")
     if k == 1 or n < 2:
         return n
-    hi = 1 << (n.bit_length() // k + 1)
-    lo = 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # 2^((b-1)//k) has k-th power at most 2^(b-1) <= n and its double is above the root;
+    # k.__rpow__ is x -> x**k without a Python frame per step
+    return last_within(k.__rpow__, n, 1 << ((n.bit_length() - 1) // k))
 
 
 def coprime_part(n: int, k: int) -> int:

@@ -27,6 +27,7 @@ from .arith import (
     factorize,
     is_prime,
     is_prime_power,
+    last_within,
     nth_root,
     phi_psi,
     power_of_two_exponent,
@@ -36,7 +37,7 @@ from .arith import (
     twisted_cyclotomic_eval,
 )
 from .primegraph import separation_check
-from .sympl import _exact, group_order, nse_set, nse_table, validate_q
+from .sympl import _exact, group_order, nse_table, validate_q
 
 __all__ = [
     "AmcSets",
@@ -256,21 +257,6 @@ def _pp_candidates(bound, order_fn, keep):
     return [x for x in _bounded_params(count(2), order_fn, bound) if is_prime_power(x) and keep(x)]
 
 
-def _last_within(fn, bound, lo=1):
-    """The largest x >= lo with fn(x) <= bound, for increasing fn with
-    fn(lo) <= bound."""
-    hi = 2 * lo
-    while fn(hi) <= bound:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fn(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 @dataclass(frozen=True)
 class _PrimePowers:
     """The prime powers in 2..bound, more than eight of them, kept as the
@@ -300,7 +286,7 @@ def _solve_increasing(fn, target):
     """The integer x >= 2 with fn(x) == target, for strictly increasing fn."""
     if fn(2) > target:
         return None
-    x = _last_within(fn, target, 2)
+    x = last_within(fn, target, 2)
     return x if fn(x) == target else None
 
 
@@ -463,7 +449,7 @@ def _solve_pp(family, label, order_fn, components):
         roots = {_solve_increasing(c, g.n2) for c in components}
         return sorted(x for x in roots if x is not None and x in xs)
     return _Case(family, f"{label}(q')", hits, _qprime_order(label, order_fn), AN_ORDER_DIV,
-                 miss=_no_hit(), params=lambda g: _prime_powers_upto(_last_within(order_fn, g.go)))
+                 miss=_no_hit(), params=lambda g: _prime_powers_upto(last_within(order_fn, g.go)))
 
 
 def _dims(order_fn, stream=_odd_primes):
@@ -565,24 +551,9 @@ def _psl_p1_kill(g, hit):
     return _tagged_order(g.go, fam.psl_order(p + 1, x), f"(p,q')=({p},{x})", f"PSL{p + 1}({x})")
 
 
-def _psl3_hits(g, _):
-    # n = 3, q' >= 3: component (q'^2+q'+1)/(3, q'-1); solved by the quadratic
-    # formula for each value of the gcd (q' in {2, 4} is a case of its own)
-    hits = []
-    for d in (1, 3):
-        disc = 4 * d * g.n2 - 3
-        s = isqrt(disc)
-        if s * s != disc or (s - 1) % 2:
-            continue
-        x = (s - 1) // 2
-        if x >= 3 and x != 4 and is_prime_power(x) and gcd(3, x - 1) == d:
-            hits.append((d, x))
-    return hits
-
-
 def _psl3_kill(g, hit):
-    d, x = hit
-    if d == 1:
+    _, x = hit
+    if gcd(3, x - 1) == 1:
         return NEEDS_MANUAL_LEMMA, f"q'={x}: q'(q'+1) = q^2 holds numerically, contradicting coprimality"
     return _must_divide(g.go, g.three_q2p2, f"q'={x}: q'(q'+1) = 3q^2+2 = {g.three_q2p2} must divide |G|",
                         f"q'={x}: 3q^2+2 divides |G|")
@@ -825,9 +796,11 @@ _CASES: tuple[_Case, ...] = (
           empty="no dimension: |PSL4(2)| already exceeds |G|"),
     _small_pair("PSL", "PSL3", (3, 5, 7, 15, 21, 35, 105),
                 "PSL3(2)", fam.psl_order(3, 2), "PSL3(4)", fam.psl_order(3, 4)),
-    _Case("PSL", "PSL3(q'), q' >= 3", _psl3_hits, _psl3_kill, AN_3Q2P2,
-          miss=lambda g, _: f"no prime power q' >= 3 has component value {g.n2}",
-          miss_anchor=AN_3Q2P2),
+    # n = 3, q' >= 3: component (q'^2+q'+1)/(3, q'-1) (q' in {2, 4} is a case of its own)
+    _Case("PSL", "PSL3(q'), q' >= 3",
+          _roots(_psl_quotient, lambda n: (1, n), lambda n, x, d: x != 4 and gcd(3, x - 1) == d),
+          _psl3_kill, AN_3Q2P2, miss=lambda g, _: f"no prime power q' >= 3 has component value {g.n2}",
+          miss_anchor=AN_3Q2P2, params=lambda g: [3]),
     _Case("PSL", "PSL2(q'), q' = q^2+1",
           lambda g, _: [g.n2] if _odd_prime_power(g.n2) else [], _psl2_q2p1_kill, AN_NILPOTENT,
           miss=lambda g, _: f"q^2+1 = {g.n2} is not an odd prime power"),
@@ -945,7 +918,8 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     if q is None:
         return Verdict(OUTCOME_NOT_APPLICABLE, None, order,
                        f"{order} is not q^4(q^4-1)(q^2-1) for any q = 2^f > 2", None)
-    expected = nse_set(q)
+    table = nse_table(q)
+    expected = table.value_set()
     if frozenset(nse) != expected:
         missing = sorted(expected - frozenset(nse))[:3]
         extra = sorted(frozenset(nse) - expected)[:3]
@@ -956,7 +930,6 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
         )
 
     a_sets = build_A_sets(q)
-    table = nse_table(q)
     checks = []
     for r in (2, *prime_divisors(q * q + 1), *prime_divisors(q * q - 1)):
         bucket, allowed = _count_bucket(q, r, a_sets)

@@ -193,7 +193,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     order = _decimal(args.order)
     if order is None:
         raise ValueError(f"--order must be a decimal integer, got {args.order!r}")
-    raw = json.loads(Path(args.nse_file).read_text(encoding="utf-8"))
+    text = Path(args.nse_file).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("nse file is nested too deeply to parse") from None
     if isinstance(raw, dict) and isinstance(raw.get("counts"), dict):
         values = raw["counts"].values()
     elif isinstance(raw, list):

@@ -83,13 +83,6 @@ class ClassDescriptor:
     rep_order: int
     class_length: int
 
-    def label(self) -> str:
-        if self.i is None:
-            return self.family
-        if self.j is None:
-            return f"{self.family}({self.i})"
-        return f"{self.family}({self.i},{self.j})"
-
 
 def _least_in_q_orbit(q: int, m: int) -> list[int]:
     """The least member of each orbit {+-i, +-qi} mod m of size 4, in increasing order.

@@ -2,8 +2,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from psp4nse import oracle
+
+# one profile for every property test: several build closed forms or factor
+# large numbers, so per-example time varies too much for a deadline
+settings.register_profile("psp4nse", deadline=None, print_blob=True)
+settings.load_profile("psp4nse")
 
 GOLDENS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 

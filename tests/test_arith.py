@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from math import gcd, isqrt
 
 import pytest
@@ -19,6 +20,7 @@ from psp4nse.arith import (
     factorize,
     is_prime,
     is_prime_power,
+    last_within,
     nth_root,
     phi_psi,
     power_of_two_exponent,
@@ -40,14 +42,44 @@ def test_factorize_basics():
         factorize(0)
 
 
+def _assert_round_trip(n):
+    fac = factorize(n)
+    assert fac.value == n
+    assert all(a < b for a, b in zip(fac.primes, fac.primes[1:]))
+    assert all(is_prime(p) for p in fac.primes)
+
+
 def test_factorize_reconstructs():
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randrange(1, 10**12)
-        fac = factorize(n)
-        assert fac.value == n
-        assert all(is_prime(p) for p in fac.primes)
-        assert list(fac.primes) == sorted(fac.primes)
+        _assert_round_trip(rng.randrange(1, 10**12))
+
+
+def _prime_at_most(x):
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(2, 2**32 - 1).map(_prime_at_most), st.integers(1, 3)),
+                min_size=1, max_size=3))
+def test_factorize_round_trips_on_prime_products(powers):
+    expected = {}
+    for p, e in powers:
+        expected[p] = expected.get(p, 0) + e
+    n = 1
+    for p, e in expected.items():
+        n *= p**e
+    _assert_round_trip(n)
+    assert dict(factorize(n).pairs) == expected
+
+
+def test_factorize_round_trips_on_cyclotomic_values():
+    # factorize(2^98-1) alone spends over a second in rho, so the sweep stops at d = 96
+    for d in range(1, 97):
+        for n in (2**d - 1, 2**d + 1, cyclotomic_eval(d, 2)):
+            _assert_round_trip(n)
 
 
 def test_factorize_large_semiprime():
@@ -88,7 +120,7 @@ def _random_divisor(data, n):
     return d
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(2, 48), st.sampled_from(range(4)), st.data())
 def test_phi_psi_over_order_primes_equals_reference(f, which, data):
     q = 1 << f
@@ -269,11 +301,41 @@ def test_misc_helpers():
     assert coprime_part(979200, 10) == 9 * 17
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 2**300 - 1), st.integers(1, 80))
+def test_nth_root_brackets_the_root(n, k):
+    r = nth_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_nth_root_rejects_bad_arguments():
+    for n, k in ((-1, 2), (5, 0)):
+        with pytest.raises(ValueError):
+            nth_root(n, k)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.data())
+def test_last_within_equals_a_linear_scan(steps, data):
+    # a nondecreasing fn from the step sizes, strictly increasing past them
+    values = list(accumulate(steps))
+
+    def fn(x):
+        return values[x] if x < len(values) else values[-1] + x
+
+    lo = data.draw(st.integers(1, len(values) + 5), label="lo")
+    bound = data.draw(st.integers(fn(lo), fn(lo) + 60), label="bound")
+    scan = lo
+    while fn(scan + 1) <= bound:
+        scan += 1
+    assert last_within(fn, bound, lo) == scan
+
+
 def _sieve_pi(v):
     return bisect_right(_small_primes(), v)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 10**6 - 1))
 def test_prime_pi_table_equals_sieve(n):
     small, large = _prime_pi_table(n)

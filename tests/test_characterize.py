@@ -98,7 +98,7 @@ def _match_order_by_scan(n):
         f += 1
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     st.one_of(
         st.tuples(st.integers(2, 64), st.integers(-(1 << 16), 1 << 16)).map(
@@ -243,7 +243,7 @@ def test_perturbation_soundness(q):
             assert verdict.outcome != OUTCOME_ISOMORPHIC, (r, delta)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(f=st.integers(9, 40), data=st.data())
 def test_perturbed_count_is_not_isomorphic(f, data):
     # one same-order count moved by one, at q well beyond the fixed q = 4, 8
@@ -405,7 +405,7 @@ def scanned_prime_powers():
     return CHARACTERIZE._pp_candidates(10**6, lambda x: x, lambda x: True)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(bound=st.one_of(st.integers(0, 40), st.integers(0, 10**6)))
 def test_prime_power_summary_equals_scan(scanned_prime_powers, bound):
     scanned = scanned_prime_powers[:bisect_right(scanned_prime_powers, bound)]
@@ -433,7 +433,7 @@ SCANNED_VALUES = {
 }
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     case=st.sampled_from(sorted(SCANNED_VALUES)),
     bound=st.integers(1, 600),

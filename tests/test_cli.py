@@ -73,7 +73,7 @@ def test_characterize_array_input(tmp_path):
     assert json.loads(out.read_text())["outcome"] == "IsomorphicToPSp4"
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(f=st.integers(2, 26))
 def test_characterize_nse_file_round_trip(tmp_path_factory, f):
     # the nse_q{q}.json that compute writes, and its values as an array of
@@ -100,6 +100,16 @@ def test_characterize_rejects_non_integer_nse_values(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: nse values must be JSON integers or decimal strings, got {json.dumps(bad)}\n"
+
+
+@pytest.mark.parametrize("prefix, suffix", [("", ""), ('{"counts": ', "}")])
+def test_characterize_rejects_deeply_nested_nse_file(tmp_path, capsys, prefix, suffix):
+    nse_file = tmp_path / "nse.json"
+    nse_file.write_text(prefix + "[" * 100_000 + "]" * 100_000 + suffix)
+    assert run_cli(["characterize", "--order", "979200", "--nse-file", str(nse_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nse file is nested too deeply to parse\n"
 
 
 @pytest.mark.parametrize("order", ["979_200", " 979200", "\uff19\uff17\uff19\uff12\uff10\uff10",

@@ -107,7 +107,7 @@ def _word(q, word):
 _words = st.lists(st.integers(0, 7), max_size=12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(q=st.sampled_from([4, 8, 16]), pairs=st.lists(st.tuples(_words, _words), min_size=1,
                                                        max_size=4))
 def test_kmul_matches_scalar_mul(q, pairs):
@@ -120,7 +120,7 @@ def test_kmul_matches_scalar_mul(q, pairs):
     assert _kmul(spec, ka, kb[0]).tolist() == [x.mul(b[0]).packed() for x in a]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(q=st.sampled_from([4, 8, 16]), data=st.data())
 def test_byte_table_products_match_kmul_and_scalar_mul(q, data):
     gens = sp4_generators(q)
@@ -178,7 +178,7 @@ def _chain_histogram(spec, keys):
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(q=st.sampled_from([4, 8]), subset=st.sets(st.integers(0, 7), min_size=1))
 def test_subgroup_closure_and_histogram_match_scalar_references(q, subset):
     gens = [sp4_generators(q)[i] for i in sorted(subset)]
@@ -193,7 +193,7 @@ def test_subgroup_closure_and_histogram_match_scalar_references(q, subset):
     assert order_histogram(group).counts == _chain_histogram(group.spec, group.keys)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_histogram_of_non_closed_subsets_matches_per_element_chain(sp44, data):
     # a random part of the cyclic subgroups of a few elements of Sp4(4), plus
@@ -263,7 +263,7 @@ def test_histogram_computed_once_per_group(sp44, sp44_hist):
     assert order_histogram(sp44) is sp44_hist
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), f=st.integers(2, 4))
 def test_key_unpack_repack_round_trip(data, f):
     spec = FieldSpec.for_degree(f)
@@ -274,7 +274,7 @@ def test_key_unpack_repack_round_trip(data, f):
     assert [Mat4(spec, tuple(row.tolist())).packed() for row in entries] == keys
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(index=st.integers(0, 979199), pos=st.integers(0, 15), delta=st.integers(0, 3))
 def test_sp44_membership_is_symplecticity(sp44, index, pos, delta):
     # an element of the group with one entry xored by delta (0 keeps it)

@@ -120,7 +120,7 @@ def _graph_by_factoring_members(spec_orders, order):
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 31, 257, 641, 65537, 6700417, 4278255361)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.tuples(st.sampled_from(_PRIME_POOL), st.integers(1, 3)), max_size=6),
     st.data(),
