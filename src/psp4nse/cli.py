@@ -99,7 +99,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     q = args.q
-    sympl.validate_q(q)
+    # class_table validates q and rejects a q too large for it before any file is written
+    classes_csv = sympl.class_table_csv(sympl.class_table(q))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -107,7 +108,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     nse_obj = sympl.nse_table_json(table)
     _write_json(out / f"nse_q{q}.json", nse_obj)
 
-    classes_csv = sympl.class_table_csv(sympl.class_table(q))
     (out / f"classes_q{q}.csv").write_text(classes_csv, encoding="utf-8")
 
     spec = sympl.spectrum(q)

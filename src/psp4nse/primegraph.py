@@ -59,9 +59,33 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     for s in spec_orders:
         if s < 1 or order % s:
             raise ValueError(f"spectrum member {s} does not divide the order {order}")
-    vertices = tuple(prime_divisors(order))
-    # every member divides the order, so its primes are among the vertices
-    supports = {tuple(p for p in vertices if member % p == 0) for member in spec_orders}
+    # every prime of a member divides the order; take the members largest
+    # first and factor only what the primes found so far leave of each
+    known: list[int] = []
+    supports = set()
+    for member in sorted(spec_orders, reverse=True):
+        support = [p for p in known if member % p == 0]
+        rest = member
+        for p in support:
+            while rest % p == 0:
+                rest //= p
+        if rest > 1:
+            found = factorize(rest).primes
+            known.extend(found)
+            support.extend(found)
+        supports.add(tuple(sorted(support)))
+    # the order's exponents by division; only the cofactor left needs factoring
+    fac = {}
+    cofactor = order
+    for p in known:
+        e = 0
+        while cofactor % p == 0:
+            cofactor //= p
+            e += 1
+        fac[p] = e
+    if cofactor > 1:
+        fac.update(factorize(cofactor))
+    vertices = tuple(sorted(fac))
     edges = {edge for ps in supports for edge in combinations(ps, 2)}
     uf = _UnionFind(vertices)
     for a, b in edges:
@@ -72,12 +96,10 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
     comps.sort(key=lambda c: (2 not in c, c[0]))
     oc = []
-    fac = factorize(order)
     for comp in comps:
         part = 1
-        for p, e in fac:
-            if p in comp:
-                part *= p**e
+        for p in comp:
+            part *= p ** fac[p]
         oc.append(part)
     return PrimeGraph(vertices, tuple(sorted(edges)), tuple(comps), tuple(oc))
 

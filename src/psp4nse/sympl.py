@@ -11,17 +11,20 @@ asserted exact.
 
 from __future__ import annotations
 
-import csv
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import repeat
 from math import gcd
+from typing import NamedTuple
+
+import numpy as np
 
 from .arith import divisors, factorize, phi_psi, power_of_two_exponent
 
 __all__ = [
     "ClassDescriptor",
+    "ClassTable",
     "NseTable",
     "CLASS_FAMILIES",
     "validate_q",
@@ -84,16 +87,59 @@ class ClassDescriptor:
     class_length: int
 
 
-def _least_in_q_orbit(q: int, m: int) -> list[int]:
+class ClassBlock(NamedTuple):
+    """The classes of one family as columns: the parameters i and j (int64
+    arrays, None where the family has no such parameter), the representative
+    orders (int64 array) and the length every class of the family shares."""
+
+    family: str
+    i: np.ndarray | None
+    j: np.ndarray | None
+    rep_order: np.ndarray
+    class_length: int
+
+
+class ClassTable:
+    """The conjugacy classes of PSp4(q): one ClassBlock per family, in
+    CLASS_FAMILIES order.  Iterating yields the classes as ClassDescriptor
+    rows, built one block at a time."""
+
+    def __init__(self, blocks: tuple[ClassBlock, ...]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(block.rep_order) for block in self.blocks)
+
+    def __iter__(self) -> Iterator[ClassDescriptor]:
+        for family, i, j, rep, length in self.blocks:
+            cols = [repeat(None) if c is None else c.tolist() for c in (i, j)]
+            for ci, cj, r in zip(*cols, rep.tolist()):
+                yield ClassDescriptor(family, ci, cj, r, length)
+
+
+# the largest q whose class table int64 holds: q * i % m in _least_in_q_orbit
+# reaches q * q^2/2 = 2^62 at q = 2^21 and 2^65 at q = 2^22
+_CLASS_TABLE_MAX_Q = 1 << 21
+
+
+def _least_in_q_orbit(q: int, m: int) -> np.ndarray:
     """The least member of each orbit {+-i, +-qi} mod m of size 4, in increasing order.
 
     i is least in its orbit iff i < -i and i < +-qi; the strict inequalities
     also drop the i with qi = +-i.
     """
-    return [i for i in range(1, (m - 1) // 2 + 1) if i < q * i % m < m - i]
+    i = np.arange(1, (m - 1) // 2 + 1, dtype=np.int64)
+    qi = q * i % m
+    return i[(i < qi) & (qi < m - i)]
 
 
-def class_table(q: int) -> list[ClassDescriptor]:
+def _pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of t, ordered as itertools.combinations(t, 2) orders them."""
+    rows, cols = np.triu_indices(len(t), 1)
+    return t[rows], t[cols]
+
+
+def class_table(q: int) -> ClassTable:
     """All conjugacy classes of PSp4(q), each orbit of parameters by its least member.
 
     Parameter tuples are taken modulo the identifications
@@ -101,35 +147,41 @@ def class_table(q: int) -> list[ClassDescriptor]:
     (+-i,+-j); C/D: i ~ -i.  With T1 = 1..(q-2)/2 and T2 = 1..q/2, the least
     members are i < j in T1 (B1) or T2 (B4), T1 x T2 (B3) and T1 or T2 (C/D),
     each family in increasing order.
+
+    The columns are int64, which holds every intermediate value up to
+    q = 2^21; a larger q raises ValueError before anything is allocated.
     """
-    validate_q(q)
+    f = validate_q(q)
+    if q > _CLASS_TABLE_MAX_Q:
+        raise ValueError(f"class_table supports q up to 2^21, got q = 2^{f}")
     qm, qp = q - 1, q + 1
     q2m, q2p = q * q - 1, q * q + 1
     o4 = q**4 - 1
-    t1, t2 = range(1, (q - 2) // 2 + 1), range(1, q // 2 + 1)
-    rows: list[ClassDescriptor] = []
-    add = rows.append
-
-    add(ClassDescriptor("A1", None, None, 1, 1))
-    add(ClassDescriptor("A2", None, None, 2, o4))
-    add(ClassDescriptor("A31", None, None, 2, o4))
-    add(ClassDescriptor("A32", None, None, 2, (q * q - 1) * o4))
+    t1 = np.arange(1, (q - 2) // 2 + 1, dtype=np.int64)
+    t2 = np.arange(1, q // 2 + 1, dtype=np.int64)
     half_len = q * q * (q * q - 1) * o4 // 2
-    add(ClassDescriptor("A41", None, None, 4, half_len))
-    add(ClassDescriptor("A42", None, None, 4, half_len))
+    blocks = [
+        ClassBlock(family, None, None, np.array([order], dtype=np.int64), length)
+        for family, order, length in (
+            ("A1", 1, 1),
+            ("A2", 2, o4),
+            ("A31", 2, o4),
+            ("A32", 2, q2m * o4),
+            ("A41", 4, half_len),
+            ("A42", 4, half_len),
+        )
+    ]
 
-    for (i, j) in combinations(t1, 2):
-        add(ClassDescriptor("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p))
-    for i in _least_in_q_orbit(q, q2m):
-        add(ClassDescriptor("B2", i, None, q2m // gcd(q2m, i), q**4 * o4))
-    for i in t1:
-        for j in t2:
-            rep = q2m // (gcd(qm, i) * gcd(qp, j))
-            add(ClassDescriptor("B3", i, j, rep, q**4 * o4))
-    for (i, j) in combinations(t2, 2):
-        add(ClassDescriptor("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p))
-    for i in _least_in_q_orbit(q, q2p):
-        add(ClassDescriptor("B5", i, None, q2p // gcd(q2p, i), q**4 * q2m * q2m))
+    i, j = _pairs(t1)
+    blocks.append(ClassBlock("B1", i, j, qm // np.gcd(np.gcd(i, j), qm), q**4 * qp * qp * q2p))
+    i = _least_in_q_orbit(q, q2m)
+    blocks.append(ClassBlock("B2", i, None, q2m // np.gcd(i, q2m), q**4 * o4))
+    i, j = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
+    blocks.append(ClassBlock("B3", i, j, q2m // (np.gcd(i, qm) * np.gcd(j, qp)), q**4 * o4))
+    i, j = _pairs(t2)
+    blocks.append(ClassBlock("B4", i, j, qp // np.gcd(np.gcd(i, j), qp), q**4 * qm * qm * q2p))
+    i = _least_in_q_orbit(q, q2p)
+    blocks.append(ClassBlock("B5", i, None, q2p // np.gcd(i, q2p), q**4 * q2m * q2m))
 
     # C and D: (family, parameters, modulus m, element order = k * m / gcd(m, i), length)
     for family, params, m, k, length in (
@@ -142,10 +194,9 @@ def class_table(q: int) -> list[ClassDescriptor]:
         ("D3", t2, qp, 2, q**3 * qm * o4),
         ("D4", t2, qp, 2, q**3 * qm * o4),
     ):
-        for i in params:
-            add(ClassDescriptor(family, i, None, k * m // gcd(m, i), length))
+        blocks.append(ClassBlock(family, params, None, k * m // np.gcd(params, m), length))
 
-    return rows
+    return ClassTable(tuple(blocks))
 
 
 def family_class_count(q: int, family: str) -> int:
@@ -258,21 +309,16 @@ def nse_table_json(table: NseTable) -> dict:
     }
 
 
-def class_table_csv(rows: list[ClassDescriptor]) -> str:
-    """CSV text: name,i,j,rep_order,class_count_index,class_length."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "i", "j", "rep_order", "class_count_index", "class_length"])
-    index_within: dict[str, int] = {}
-    for row in rows:
-        k = index_within.get(row.family, 0)
-        index_within[row.family] = k + 1
-        writer.writerow([
-            row.family,
-            "" if row.i is None else row.i,
-            "" if row.j is None else row.j,
-            row.rep_order,
-            k,
-            str(row.class_length),
-        ])
-    return buf.getvalue()
+def class_table_csv(table: ClassTable) -> str:
+    """CSV text: name,i,j,rep_order,class_count_index,class_length.
+
+    Each family is one format string with its name and class length built in,
+    applied to the columns of its block; an absent parameter is an empty field.
+    """
+    parts = ["name,i,j,rep_order,class_count_index,class_length\n"]
+    for family, i, j, rep, length in table.blocks:
+        fields = ["" if c is None else "%d" for c in (i, j)]
+        fmt = ",".join([family, *fields, "%d,%d", str(length)]) + "\n"
+        cols = [c.tolist() for c in (i, j, rep) if c is not None]
+        parts.append("".join(map(fmt.__mod__, zip(*cols, range(len(rep))))))
+    return "".join(parts)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, compress
 from math import isqrt, lcm, prod
 from types import SimpleNamespace
 
@@ -401,8 +401,20 @@ CHARACTERIZE = sys.modules["psp4nse.characterize"]
 
 @pytest.fixture(scope="module")
 def scanned_prime_powers():
-    # the scan the counted rows replaced, run once to the largest bound drawn
-    return CHARACTERIZE._pp_candidates(10**6, lambda x: x, lambda x: True)
+    # every prime power up to the largest bound drawn, from a sieve of Eratosthenes
+    n = 10**6
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    powers = []
+    for p in compress(range(n + 1), sieve):
+        x = p
+        while x <= n:
+            powers.append(x)
+            x *= p
+    return sorted(powers)
 
 
 @settings(max_examples=300)

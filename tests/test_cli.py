@@ -47,6 +47,16 @@ def test_compute_rejects_bad_q(tmp_path):
     assert run_cli(["compute", "--q", "2", "--out", str(tmp_path)]) == 2
 
 
+def test_compute_rejects_q_beyond_the_class_table(tmp_path, capsys):
+    # q = 2^22 passes validate_q, but the class table's int64 columns stop at 2^21
+    out = tmp_path / "out"
+    assert run_cli(["compute", "--q", str(1 << 22), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_characterize_round_trip(tmp_path, capsys):
     assert run_cli(["compute", "--q", "4", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psp4nse.arith import divisors, factorize, prime_divisors
+from psp4nse import arith, primegraph
 from psp4nse.primegraph import build_graph, component_count, graph_json, separation_check
 from psp4nse.sympl import group_order, spectrum
 
@@ -132,3 +133,25 @@ def test_build_graph_equals_factoring_every_member(prime_powers, data):
     g = build_graph(spec, order)
     assert (g.vertices, g.edges, g.components, g.order_components) == \
         _graph_by_factoring_members(spec, order)
+
+
+def test_build_graph_factors_no_new_number_above_2_64(monkeypatch):
+    # spectrum has factored q^2 +- 1; the members and the order add only small primes
+    q = 1 << 40
+    spectrum.cache_clear()
+    spec = set(spectrum(q))
+    missed = []
+
+    def counting(n):
+        before = factorize.cache_info().misses
+        result = factorize(n)
+        if factorize.cache_info().misses > before:
+            missed.append(n)
+        return result
+
+    # prime_divisors reaches factorize through the arith module
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(primegraph, "factorize", counting)
+    g = build_graph(spec, group_order(q))
+    assert [n for n in missed if n >= 2**64] == []
+    assert g.order_components == (group_order(q) // (q * q + 1), q * q + 1)

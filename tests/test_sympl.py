@@ -2,9 +2,16 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
+from itertools import combinations
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psp4nse import sympl
 from psp4nse.arith import divisors, euler_phi, factorize
 from psp4nse.sympl import (
     CLASS_FAMILIES,
@@ -121,29 +128,130 @@ def test_class_table_q4():
     assert [r for r in rows if r.family == "B1"] == []
 
 
-@pytest.mark.parametrize("q", [4, 8, 16, 32])
-def test_class_table_matches_counts(q):
-    rows = class_table(q)
+def _regroup_rows(table) -> dict[int, int]:
     by_order: dict[int, int] = {}
-    for r in rows:
+    for r in table:
         by_order[r.rep_order] = by_order.get(r.rep_order, 0) + r.class_length
-    assert by_order == nse_table(q).counts
+    return by_order
 
 
-@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def _regroup_blocks(table) -> dict[int, int]:
+    by_order: Counter[int] = Counter()
+    for block in table.blocks:
+        orders, counts = np.unique(block.rep_order, return_counts=True)
+        for r, c in zip(orders.tolist(), counts.tolist()):
+            by_order[r] += c * block.class_length
+    return dict(by_order)
+
+
+CLASS_TABLE_QS = [4, 8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("q", CLASS_TABLE_QS)
+def test_class_table_matches_counts(q):
+    table = class_table(q)
+    counts = nse_table(q).counts
+    assert _regroup_blocks(table) == counts
+    if q <= 32:
+        assert _regroup_rows(table) == counts
+
+
+@pytest.mark.parametrize("q", CLASS_TABLE_QS)
 def test_family_counts_match_polynomials(q):
-    rows = class_table(q)
-    for family in CLASS_FAMILIES:
-        assert sum(1 for r in rows if r.family == family) == family_class_count(q, family)
+    table = class_table(q)
+    assert tuple(block.family for block in table.blocks) == CLASS_FAMILIES
+    for block in table.blocks:
+        assert len(block.rep_order) == family_class_count(q, block.family)
+    if q <= 32:
+        for family in CLASS_FAMILIES:
+            assert sum(1 for r in table if r.family == family) == family_class_count(q, family)
 
 
-@pytest.mark.parametrize("q", [4, 8, 16, 32])
+@pytest.mark.parametrize("q", CLASS_TABLE_QS)
 def test_class_invariants(q):
     order = group_order(q)
     spec = set(spectrum(q))
-    for r in class_table(q):
-        assert r.rep_order in spec
-        assert order % r.class_length == 0
+    table = class_table(q)
+    for block in table.blocks:
+        assert set(np.unique(block.rep_order).tolist()) <= spec
+        assert order % block.class_length == 0
+    if q <= 32:
+        for r in table:
+            assert r.rep_order in spec
+            assert order % r.class_length == 0
+
+
+def _reference_class_rows(q):
+    """The class table row by row, as (family, i, j, rep_order, class_length)
+    tuples: the loop form the columnar blocks replaced."""
+    qm, qp = q - 1, q + 1
+    q2m, q2p = q * q - 1, q * q + 1
+    o4 = q**4 - 1
+    t1, t2 = range(1, (q - 2) // 2 + 1), range(1, q // 2 + 1)
+
+    def least_in_q_orbit(m):
+        return [i for i in range(1, (m - 1) // 2 + 1) if i < q * i % m < m - i]
+
+    half_len = q * q * (q * q - 1) * o4 // 2
+    rows = [("A1", None, None, 1, 1), ("A2", None, None, 2, o4), ("A31", None, None, 2, o4),
+            ("A32", None, None, 2, (q * q - 1) * o4),
+            ("A41", None, None, 4, half_len), ("A42", None, None, 4, half_len)]
+    rows += [("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p) for i, j in combinations(t1, 2)]
+    rows += [("B2", i, None, q2m // gcd(q2m, i), q**4 * o4) for i in least_in_q_orbit(q2m)]
+    rows += [("B3", i, j, q2m // (gcd(qm, i) * gcd(qp, j)), q**4 * o4) for i in t1 for j in t2]
+    rows += [("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p) for i, j in combinations(t2, 2)]
+    rows += [("B5", i, None, q2p // gcd(q2p, i), q**4 * q2m * q2m) for i in least_in_q_orbit(q2p)]
+    for family, params, m, k, length in (
+        ("C1", t1, qm, 1, q**3 * qp * q2p),
+        ("C2", t1, qm, 1, q**3 * qp * q2p),
+        ("C3", t2, qp, 1, q**3 * qm * q2p),
+        ("C4", t2, qp, 1, q**3 * qm * q2p),
+        ("D1", t1, qm, 2, q**3 * qp * o4),
+        ("D2", t1, qm, 2, q**3 * qp * o4),
+        ("D3", t2, qp, 2, q**3 * qm * o4),
+        ("D4", t2, qp, 2, q**3 * qm * o4),
+    ):
+        rows += [(family, i, None, k * m // gcd(m, i), length) for i in params]
+    return rows
+
+
+def _reference_csv(rows):
+    """CSV of reference rows through csv.writer, indexing classes within each family."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "i", "j", "rep_order", "class_count_index", "class_length"])
+    index_within: dict[str, int] = {}
+    for family, i, j, rep_order, class_length in rows:
+        k = index_within.get(family, 0)
+        index_within[family] = k + 1
+        writer.writerow([family, "" if i is None else i, "" if j is None else j,
+                         rep_order, k, str(class_length)])
+    return buf.getvalue()
+
+
+@settings(max_examples=20)
+@given(f=st.integers(2, 8))
+def test_columnar_class_table_equals_row_reference(f):
+    q = 1 << f
+    table = class_table(q)
+    expected = _reference_class_rows(q)
+    rows = list(table)
+    assert [(r.family, r.i, r.j, r.rep_order, r.class_length) for r in rows] == expected
+    assert all(type(v) is int for r in rows for v in (r.i, r.j, r.rep_order) if v is not None)
+    # line lists, not two 4 MB strings: pytest's diff of long texts takes minutes
+    assert class_table_csv(table).splitlines(True) == _reference_csv(expected).splitlines(True)
+    assert len(table) == len(rows) == sum(family_class_count(q, fam) for fam in CLASS_FAMILIES)
+
+
+def test_class_table_rejects_q_beyond_int64(monkeypatch):
+    # q * i % m reaches q^3/2: 2^62 at q = 2^21 fits int64, 2^65 at q = 2^22 does not
+    top = sympl._CLASS_TABLE_MAX_Q
+    assert top * (top * top // 2) < 2**63 <= 2 * top * ((2 * top) ** 2 // 2)
+
+    # without numpy any array the table allocates fails with an AttributeError
+    monkeypatch.setattr(sympl, "np", None)
+    with pytest.raises(ValueError, match="2\\^21"):
+        class_table(2 * top)
 
 
 def test_nse_table_json():
