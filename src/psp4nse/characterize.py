@@ -16,6 +16,7 @@ recognition theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, count, filterfalse, takewhile
 from math import gcd, isqrt, prod
 from typing import Callable, NamedTuple
@@ -110,8 +111,10 @@ def _divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
     return [(r, *phi_psi(r, primes)) for r in divisors(n)[1:]]
 
 
+@lru_cache(maxsize=64)
 def build_A_sets(q: int) -> AmcSets:
-    """The candidate same-order-count sets, built clause by clause.
+    """The candidate same-order-count sets, built clause by clause and cached
+    per q (AmcSets is immutable).
 
     Deliberately restates the count formulas instead of calling m_of_order, so
     the union test against nse_set(q) is a genuine cross-check of the

@@ -117,9 +117,10 @@ class ClassTable:
                 yield ClassDescriptor(family, ci, cj, r, length)
 
 
-# the largest q whose class table int64 holds: q * i % m in _least_in_q_orbit
-# reaches q * q^2/2 = 2^62 at q = 2^21 and 2^65 at q = 2^22
-_CLASS_TABLE_MAX_Q = 1 << 21
+# the most rows class_table builds: about q^2 of them (2^24 at q = 2^12, 2^26 at
+# q = 2^13), some 130 bytes each with the CSV.  Within it q <= 2^12, so q * i % m
+# in _least_in_q_orbit stays below q^3/2 <= 2^35 and every column fits int64.
+_CLASS_TABLE_MAX_ROWS = 1 << 25
 
 
 def _least_in_q_orbit(q: int, m: int) -> np.ndarray:
@@ -148,12 +149,14 @@ def class_table(q: int) -> ClassTable:
     members are i < j in T1 (B1) or T2 (B4), T1 x T2 (B3) and T1 or T2 (C/D),
     each family in increasing order.
 
-    The columns are int64, which holds every intermediate value up to
-    q = 2^21; a larger q raises ValueError before anything is allocated.
+    A table of more than 2^25 rows (q > 2^12) raises ValueError before
+    anything is allocated.
     """
     f = validate_q(q)
-    if q > _CLASS_TABLE_MAX_Q:
-        raise ValueError(f"class_table supports q up to 2^21, got q = 2^{f}")
+    rows = sum(family_class_count(q, family) for family in CLASS_FAMILIES)
+    if rows > _CLASS_TABLE_MAX_ROWS:
+        raise ValueError(f"class_table builds at most 2^25 rows (q <= 2^12); "
+                         f"q = 2^{f} has {rows}")
     qm, qp = q - 1, q + 1
     q2m, q2p = q * q - 1, q * q + 1
     o4 = q**4 - 1

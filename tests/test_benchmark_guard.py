@@ -33,3 +33,16 @@ def test_recognize_mix_pass_has_no_failures(workloads, traced):
     result = workloads.run_pass("recognize-mix", 11, traced)
     assert result["attempted"] == 100
     assert result["failed"] == 0, result["failures"][:3]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_oracle_pass_has_no_failures(workloads, traced):
+    # the traced pass calls enumerate_group itself; the plain pass goes through
+    # sp4_group, which may return the Sp4(4) another test left in _SP4_CACHE
+    result = workloads.run_pass("oracle-q4", 11, traced)
+    assert result["attempted"] == 3
+    assert result["failed"] == 0, result["failures"][:3]
+    if traced:
+        names = {span[1] for span in result["spans"]}
+        assert {"oracle.enumerate", "oracle.histogram", "oracle.compare"} <= names
+        assert result["counters"]["oracle.elements"] == 979_200

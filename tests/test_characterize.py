@@ -60,6 +60,17 @@ def test_build_a_sets_q8():
     assert a.union() == nse_set(8)
 
 
+def test_build_a_sets_is_cached_per_q():
+    build_A_sets.cache_clear()
+    a = build_A_sets(64)
+    assert build_A_sets(64) is a
+    assert build_A_sets(128) is not a
+    info = build_A_sets.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 2, 64)
+    with pytest.raises(ValueError):
+        build_A_sets(6)
+
+
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
 def test_a_sets_partition_nse(q):
     a = build_A_sets(q)

@@ -48,13 +48,16 @@ def test_compute_rejects_bad_q(tmp_path):
 
 
 def test_compute_rejects_q_beyond_the_class_table(tmp_path, capsys):
-    # q = 2^22 passes validate_q, but the class table's int64 columns stop at 2^21
-    out = tmp_path / "out"
-    assert run_cli(["compute", "--q", str(1 << 22), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert not out.exists()
+    # these q pass validate_q, but their class tables exceed the 2^25-row budget
+    # (2^26 rows at q = 8192); the table is built first, so no file is written
+    for q in (8192, 65536, 1 << 22):
+        out = tmp_path / str(q)
+        assert run_cli(["compute", "--q", str(q), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "2^25 rows" in captured.err
+        assert not out.exists()
 
 
 def test_characterize_round_trip(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psp4nse import oracle
 from psp4nse.arith import coprime_part, divisors
 from psp4nse.gf2 import FieldSpec
 from psp4nse.oracle import (
@@ -14,9 +15,11 @@ from psp4nse.oracle import (
     PermGroupSpec,
     _byte_tables,
     _generator_products,
+    _inverses,
     _keys,
     _kmul,
     _pack,
+    _transversal,
     _unpack,
     enumerate_group,
     order_histogram,
@@ -89,6 +92,23 @@ def test_enumerate_small_subgroup():
 def test_enumeration_capacity_error():
     with pytest.raises(CapacityExceeded):
         enumerate_group(sp4_generators(4), cap=10**5)
+
+
+@pytest.mark.parametrize("cap", [1000, 10**5])
+def test_capacity_error_comes_before_the_cosets(monkeypatch, cap):
+    # |H| = 3840 and |G| = 255 * 3840: cap 1000 stops the closure of the
+    # stabilizer, cap 10^5 the count |orbit| * |H|; neither forms a coset
+    # product, whose tables have one row per orbit point
+    rows = []
+
+    def recorded(tables, keys):
+        rows.append(len(tables))
+        return _generator_products(tables, keys)
+
+    monkeypatch.setattr(oracle, "_generator_products", recorded)
+    with pytest.raises(CapacityExceeded, match=f"cap of {cap} elements"):
+        enumerate_group(sp4_generators(4), cap=cap)
+    assert rows and max(rows) <= 8
 
 
 def test_enumeration_rejects_keys_over_64_bits():
@@ -191,6 +211,116 @@ def test_subgroup_closure_and_histogram_match_scalar_references(q, subset):
     group = enumerate_group(gens, _SMALL_CAP)
     assert group.keys.tolist() == want
     assert order_histogram(group).counts == _chain_histogram(group.spec, group.keys)
+
+
+def _perm_matrix(spec, perm):
+    """The permutation matrix whose row r is e_perm[r]."""
+    return Mat4.from_rows(spec, [[int(c == perm[r]) for c in range(4)] for r in range(4)])
+
+
+def _diag(spec, d):
+    return Mat4.from_rows(spec, [[d[r] if c == r else 0 for c in range(4)] for r in range(4)])
+
+
+@st.composite
+def _generator_sets(draw):
+    """Invertible generators of subgroups of GL4(q): words in the Sp4(q)
+    generators, permutation and diagonal matrices (mostly not symplectic),
+    or, for a set that fixes e1, only matrices whose row 0 is e1."""
+    q = draw(st.sampled_from([4, 8]))
+    spec = FieldSpec.for_degree(q.bit_length() - 1)
+    fix_e1 = draw(st.booleans())
+    # x_b, h(1,g) and w_b have row 0 = e1
+    word_gens = [1, 5, 7] if fix_e1 else range(8)
+    unit = st.integers(1, q - 1)
+    kinds = [
+        st.lists(st.sampled_from(word_gens), min_size=1, max_size=8).map(lambda w: _word(q, w)),
+        st.permutations(range(4)).filter(lambda p: not fix_e1 or p[0] == 0)
+        .map(lambda p: _perm_matrix(spec, p)),
+        st.tuples(st.just(1) if fix_e1 else unit, unit, unit, unit).map(lambda d: _diag(spec, d)),
+    ]
+    return fix_e1, draw(st.lists(st.one_of(kinds), min_size=1, max_size=4))
+
+
+@settings(max_examples=40)
+@given(drawn=_generator_sets())
+def test_cosets_of_the_stabilizer_match_scalar_closure(drawn):
+    fix_e1, gens = drawn
+    spec = gens[0].spec
+    if fix_e1:
+        tables = _byte_tables(spec, _keys(spec, gens))
+        inverses = _keys(spec, gens)  # any keys do: an orbit of one point needs no inverse
+        assert len(_transversal(spec, tables, inverses)[0]) == 1
+    try:
+        want = _scalar_closure(gens, _SMALL_CAP)
+    except CapacityExceeded:
+        with pytest.raises(CapacityExceeded):
+            enumerate_group(gens, _SMALL_CAP)
+        return
+    assert enumerate_group(gens, _SMALL_CAP).keys.tolist() == want
+
+
+def test_singer_cycle_reaches_the_order_bound():
+    # a companion matrix of order q^4 - 1 = 255 in GL4(4): its inverse is the
+    # last power the chain reaches before giving up, and it is transitive on
+    # the nonzero vectors, so the orbit of e1 is the whole group
+    spec = FieldSpec.for_degree(2)
+    singer = Mat4.from_rows(spec, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 2, 1, 0]])
+    ident = Mat4.identity(spec)
+    power = singer
+    for _ in range(253):
+        power = power.mul(singer)
+    assert power != ident and power.mul(singer) == ident
+    assert _inverses(spec, _keys(spec, [singer])).tolist() == [power.packed()]
+    group = enumerate_group([singer], cap=255)
+    assert len(group) == 255 and order_histogram(group)[255] == 128
+    with pytest.raises(CapacityExceeded):
+        enumerate_group([singer], cap=254)
+
+
+_RANK_3 = [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_NILPOTENT = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+_FIXES_E1 = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # rank 3
+
+
+# the chain of a singular matrix runs its full q^4 - 1 steps: 1.4 s at q = 8
+@pytest.mark.parametrize("q, rows", [(4, _RANK_3), (4, _NILPOTENT), (4, _FIXES_E1),
+                                     (8, _FIXES_E1)])
+def test_singular_generator_is_rejected(q, rows):
+    gens = sp4_generators(q)
+    bad = Mat4.from_rows(gens[0].spec, rows)
+    with pytest.raises(ValueError, match="generator 8 is not invertible"):
+        enumerate_group([*gens, bad], cap=10**7)
+    with pytest.raises(ValueError, match="generator 0 is not invertible"):
+        enumerate_group([bad], cap=10**7)
+
+
+def _bfs_closure(generators, cap):
+    """Sorted keys of the closure by the earlier numpy enumeration: breadth-first
+    over the whole group, each level deduplicated against the keys seen."""
+    spec = generators[0].spec
+    tables = _byte_tables(spec, _keys(spec, generators))
+    seen = _keys(spec, [Mat4.identity(spec)])  # sorted throughout
+    frontier = seen
+    while len(frontier):
+        fresh_blocks = []
+        for start in range(0, len(frontier), 1 << 18):
+            chunk = frontier[start : start + (1 << 18)]
+            prods = np.sort(_generator_products(tables, chunk), axis=None)
+            prods = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
+            pos = np.searchsorted(seen, prods)
+            fresh = seen[np.minimum(pos, len(seen) - 1)] != prods
+            seen = np.insert(seen, pos[fresh], prods[fresh])
+            if len(seen) > cap:
+                raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+            fresh_blocks.append(prods[fresh])
+        frontier = np.concatenate(fresh_blocks)
+    return seen
+
+
+def test_breadth_first_reference_equals_sp4_group(sp44):
+    keys = _bfs_closure(sp4_generators(4), 2_000_000)
+    assert np.array_equal(keys, sp44.keys)
 
 
 @settings(max_examples=40)

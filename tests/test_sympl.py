@@ -244,14 +244,20 @@ def test_columnar_class_table_equals_row_reference(f):
 
 
 def test_class_table_rejects_q_beyond_int64(monkeypatch):
-    # q * i % m reaches q^3/2: 2^62 at q = 2^21 fits int64, 2^65 at q = 2^22 does not
-    top = sympl._CLASS_TABLE_MAX_Q
-    assert top * (top * top // 2) < 2**63 <= 2 * top * ((2 * top) ** 2 // 2)
+    # the row budget stops the table after q = 2^12, where q * i % m in
+    # _least_in_q_orbit stays below q^3/2 = 2^35, so every column fits int64
+    def rows(q):
+        return sum(family_class_count(q, family) for family in CLASS_FAMILIES)
+
+    budget = sympl._CLASS_TABLE_MAX_ROWS
+    assert rows(1 << 12) == 16_785_411 <= budget < rows(1 << 13)
+    assert (1 << 12) ** 3 // 2 == 2**35
 
     # without numpy any array the table allocates fails with an AttributeError
     monkeypatch.setattr(sympl, "np", None)
-    with pytest.raises(ValueError, match="2\\^21"):
-        class_table(2 * top)
+    for f in (13, 16, 21, 22):
+        with pytest.raises(ValueError, match=f"2\\^25 rows .*q = 2\\^{f} has {rows(1 << f)}$"):
+            class_table(1 << f)
 
 
 def test_nse_table_json():
