@@ -33,8 +33,6 @@ __all__ = [
     "is_prime",
     "is_prime_power",
     "prime_power_count",
-    "euler_phi",
-    "dedekind_psi",
     "phi_psi",
     "cyclotomic_eval",
     "twisted_cyclotomic_eval",
@@ -44,7 +42,6 @@ __all__ = [
     "power_of_two_exponent",
     "last_within",
     "nth_root",
-    "coprime_part",
 ]
 
 _SIEVE_BOUND = 1_000_000
@@ -249,24 +246,9 @@ def prime_power_count(n: int) -> int:
     return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient via the product formula."""
-    v = n
-    for p in factorize(n).primes:
-        v = v // p * (p - 1)
-    return v
-
-
-def dedekind_psi(n: int) -> int:
-    """Dedekind psi: n * prod_{p | n} (1 + 1/p)."""
-    v = n
-    for p in factorize(n).primes:
-        v = v // p * (p + 1)
-    return v
-
-
 def phi_psi(n: int, primes) -> tuple[int, int]:
-    """(euler_phi(n), dedekind_psi(n)) for n >= 1, dividing n only by the given primes.
+    """(phi(n), psi(n)), Euler's totient and Dedekind's psi, for n >= 1, dividing n
+    only by the given primes.
 
     primes must be primes; ascending order lets the loop stop early.  A
     cofactor other than 1 means n has a prime outside the list, and raises
@@ -483,14 +465,3 @@ def nth_root(n: int, k: int) -> int:
     # 2^((b-1)//k) has k-th power at most 2^(b-1) <= n and its double is above the root;
     # k.__rpow__ is x -> x**k without a Python frame per step
     return last_within(k.__rpow__, n, 1 << ((n.bit_length() - 1) // k))
-
-
-def coprime_part(n: int, k: int) -> int:
-    """Largest divisor of n coprime to k."""
-    if n < 1:
-        raise ValueError(f"coprime_part requires n >= 1, got {n}")
-    v = 1
-    for p, e in factorize(n):
-        if k % p:
-            v *= p**e
-    return v

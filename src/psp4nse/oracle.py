@@ -4,9 +4,13 @@ permutation-group engine.
 The matrix engine enumerates a group from its standard generators (root
 elements x_iota(1), torus elements h(g,1), h(1,g), and the two Weyl
 reflections) by orbit-stabilizer with Schreier's lemma, so every element is
-made exactly once.  Each matrix is one uint64 key laid out as Mat4.packed()
-(16 entries of f bits, row-major, entry (0,0) most significant), so q <= 16.
-Two numpy kernels do the work:
+made exactly once.  One breadth-first search serves both the orbit of the row
+vector e1 and the closure of its stabilizer.  Matrices have two forms: Mat4,
+which builds and validates the generators, inverts them by Gauss-Jordan
+elimination and is the scalar cross-check, and one uint64 key per matrix laid
+out as Mat4.packed() (16 entries of f bits, row-major, entry (0,0) most
+significant), so q <= 16, for all vectorised work.  Two numpy kernels do the
+work:
 
 - Right multiplication by a fixed matrix, x -> x * m, is GF(2)-linear in the
   key bits, so each multiplier (a generator, or a coset representative) gets
@@ -19,9 +23,8 @@ Two numpy kernels do the work:
   field-scalar-times-packed-row products.
 
 Sp4(4) (979,200 elements: an orbit of 255 points times a stabilizer of
-order 3840) enumerates in about 0.07 s and its histogram takes about 0.4 s
-on a 2-vCPU x86-64 host.  The scalar Mat4 API stays as the independent
-cross-check.
+order 3840) enumerates in about 0.09 s and its histogram takes about 0.4 s
+on a 2-vCPU x86-64 host.
 
 For even q the symplectic group is already simple modulo nothing: the center
 is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
@@ -53,7 +56,6 @@ __all__ = [
     "z3_times_z7_z4",
 ]
 
-_CHUNK_ROWS = 1 << 18
 _ORDER_BATCH = 1 << 14
 
 
@@ -107,6 +109,23 @@ class Mat4:
         e = self.entries
         return Mat4(self.spec, tuple(e[4 * c + r] for r in range(4) for c in range(4)))
 
+    def inverse(self) -> Mat4 | None:
+        """The inverse by Gauss-Jordan elimination, or None for a singular matrix."""
+        s, e = self.spec, self.entries
+        rows = [[*e[4 * r : 4 * r + 4], *(int(r == c) for c in range(4))] for r in range(4)]
+        for c in range(4):
+            pivot = next((r for r in range(c, 4) if rows[r][c]), None)
+            if pivot is None:
+                return None
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            scale = s.inv(rows[c][c])
+            rows[c] = [s.mul(scale, x) for x in rows[c]]
+            for r in range(4):
+                if r != c and rows[r][c]:
+                    factor = rows[r][c]
+                    rows[r] = [x ^ s.mul(factor, y) for x, y in zip(rows[r], rows[c])]
+        return Mat4.from_rows(s, [row[4:] for row in rows])
+
     def is_symplectic(self) -> bool:
         """Whether M^T J M = J for the fixed antidiagonal form."""
         j = Mat4(self.spec, _J_ENTRIES)
@@ -157,23 +176,6 @@ def _keys(spec: FieldSpec, mats: list[Mat4]) -> np.ndarray:
         raise ValueError(f"matrices over GF(2^{spec.f}) need {16 * spec.f}-bit keys; the "
                          f"oracle packs them into 64 bits, so q <= {1 << _MAX_KEY_DEGREE}")
     return np.array([m.packed() for m in mats], dtype=np.uint64)
-
-
-def _unpack(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
-    """The (n, 16) row-major entries of the keys."""
-    mask = np.uint64(spec.order - 1)
-    out = np.empty((len(keys), 16), dtype=np.uint8)
-    for i in range(16):
-        out[:, i] = (keys >> np.uint64(spec.f * (15 - i))) & mask
-    return out
-
-
-def _pack(spec: FieldSpec, entries: np.ndarray) -> np.ndarray:
-    """The keys of (n, 16) row-major entries; the inverse of _unpack."""
-    keys = np.zeros(len(entries), dtype=np.uint64)
-    for i in range(16):
-        keys = (keys << np.uint64(spec.f)) | entries[:, i]
-    return keys
 
 
 @lru_cache(maxsize=_MAX_KEY_DEGREE)
@@ -274,19 +276,6 @@ class EnumeratedGroup:
         pos = int(np.searchsorted(self.keys, key))
         return pos < len(self.keys) and self.keys[pos] == key
 
-    @property
-    def mats(self) -> np.ndarray:
-        """The (n, 4, 4) entries, unpacked on each access."""
-        return _unpack(self.spec, self.keys).reshape(-1, 4, 4)
-
-    def all_symplectic(self) -> bool:
-        """Vectorized check that every element preserves the alternating form."""
-        mats = self.mats
-        at = _pack(self.spec, mats.transpose(0, 2, 1).reshape(-1, 16))
-        ja = _pack(self.spec, mats[:, ::-1, :].reshape(-1, 16))  # J reverses rows
-        j = Mat4(self.spec, _J_ENTRIES).packed()
-        return bool((_kmul(self.spec, at, ja) == np.uint64(j)).all())
-
     @cached_property
     def _histogram(self) -> OrderHistogram:
         orders = _element_orders(self.spec, self.keys, len(self) + 1)
@@ -303,73 +292,35 @@ def _row0(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
     return (keys >> np.uint64(12 * spec.f)).view(np.intp)
 
 
-def _inverses(spec: FieldSpec, gens: np.ndarray) -> np.ndarray:
-    """The inverse of every key: the last power before the identity in its chain.
+def _search(spec: FieldSpec, tables: np.ndarray, point, cap: int) -> tuple[np.ndarray, list]:
+    """Breadth-first search from the identity by right multiplication with the
+    generators whose byte tables are given, keeping, for each new point(x), the
+    first product x that reached it.
 
-    Every element of GL4(q) has order at most q^4 - 1, so a chain that has not
-    reached the identity after that many steps is a singular matrix's, and
-    ValueError is raised.
-    """
-    ident = _identity_key(spec)
-    inv = np.empty_like(gens)
-    idx = np.arange(len(gens))
-    prev, cur = np.full(len(gens), ident), gens
-    for _ in range(spec.order**4 - 1):
-        done = cur == ident
-        inv[idx[done]] = prev[done]
-        keep = ~done
-        idx, prev = idx[keep], cur[keep]
-        if not len(idx):
-            return inv
-        cur = _kmul(spec, prev, gens[idx])
-    raise ValueError(f"generator {int(idx[0])} is not invertible")
-
-
-def _closure(spec: FieldSpec, gens: np.ndarray, cap: int) -> np.ndarray:
-    """Sorted keys of the group generated by the keys gens (at least one),
-    breadth-first from the identity; CapacityExceeded past cap elements."""
-    tables = _byte_tables(spec, gens)
-    seen = np.array([_identity_key(spec)])  # sorted throughout
-    frontier = seen
-    while len(frontier):
-        fresh_blocks = []
-        for start in range(0, len(frontier), _CHUNK_ROWS):
-            chunk = frontier[start : start + _CHUNK_ROWS]
-            prods = np.sort(_generator_products(tables, chunk), axis=None)
-            # np.unique would do, but its numpy-2 hash path is several times slower
-            prods = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
-            pos = np.searchsorted(seen, prods)
-            fresh = seen[np.minimum(pos, len(seen) - 1)] != prods
-            seen = np.insert(seen, pos[fresh], prods[fresh])
-            if len(seen) > cap:
-                raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-            fresh_blocks.append(prods[fresh])
-        frontier = np.concatenate(fresh_blocks)
-    return seen
-
-
-def _transversal(spec: FieldSpec, tables: np.ndarray,
-                 gen_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elements t_v with e1 * t_v = v, one per point v of the orbit of the row
-    vector e1, and their inverses.
-
-    The orbit grows by breadth-first levels from t_e1 = 1: a point v * s
-    reached first gets t_{v*s} = t_v * s and t_{v*s}^-1 = s^-1 * t_v^-1.
+    Returns the sorted points and, level by level, the kept elements with, for
+    each, the generator s and the position in the level before of the parent t,
+    so that x = t * s.  Raises CapacityExceeded past cap points.
     """
     ident = np.array([_identity_key(spec)])
-    reached = np.zeros(spec.order**4, dtype=bool)
-    reached[_row0(spec, ident)] = True
-    trans, trans_inv = [ident], [ident]
-    while len(trans[-1]):
-        prods = _generator_products(tables, trans[-1]).reshape(-1)
-        points = _row0(spec, prods)
-        _, first = np.unique(points, return_index=True)
-        first = first[~reached[points[first]]]
-        reached[points[first]] = True
-        s, parent = np.divmod(first, len(trans[-1]))
-        trans_inv.append(_kmul(spec, gen_inv[s], trans_inv[-1][parent]))
-        trans.append(prods[first])
-    return np.concatenate(trans), np.concatenate(trans_inv)
+    seen = point(ident)
+    levels = [(ident, None, None)]
+    while len(levels[-1][0]):
+        level = levels[-1][0]
+        prods = _generator_products(tables, level).reshape(-1)
+        points = point(prods)
+        # stable, so the first product wins; np.unique(return_index=True) is slower
+        by_point = np.argsort(points, kind="stable")
+        points = points[by_point]
+        first = np.concatenate(([True], points[1:] != points[:-1]))
+        by_point, points = by_point[first], points[first]
+        pos = np.searchsorted(seen, points)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != points
+        seen = np.insert(seen, pos[fresh], points[fresh])
+        if len(seen) > cap:
+            raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+        kept = by_point[fresh]
+        levels.append((prods[kept], *np.divmod(kept, len(level))))
+    return seen, levels
 
 
 def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
@@ -382,9 +333,13 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     those of them it does not yet contain, one at a time, and each addition at
     least doubles |H|.
 
-    Raises CapacityExceeded when H or |G| = |orbit| * |H| exceeds cap, before
-    any coset is formed; ValueError for a generator that is not invertible and
-    for matrices over fields larger than GF(16).
+    The transversal is the search over row 0 of the key, with
+    t_{v*s}^-1 = s^-1 * t_v^-1 along its parents; H is the search over the
+    key itself.
+
+    Raises CapacityExceeded when the orbit, H or |G| = |orbit| * |H| exceeds
+    cap, before any coset is formed; ValueError for a generator that is not
+    invertible and for matrices over fields larger than GF(16).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -394,8 +349,17 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     if cap < 1:
         raise ValueError("cap must be positive")
     gens = _keys(spec, generators)
+    inverses = [g.inverse() for g in generators]
+    if None in inverses:
+        raise ValueError(f"generator {inverses.index(None)} is not invertible")
+    gen_inv = _keys(spec, inverses)
     tables = _byte_tables(spec, gens)
-    trans, trans_inv = _transversal(spec, tables, _inverses(spec, gens))
+    _, levels = _search(spec, tables, lambda keys: _row0(spec, keys), cap)
+    trans_inv = [levels[0][0]]
+    for _, s, parent in levels[1:]:
+        trans_inv.append(_kmul(spec, gen_inv[s], trans_inv[-1][parent]))
+    trans = np.concatenate([keys for keys, _, _ in levels])
+    trans_inv = np.concatenate(trans_inv)
     index = np.empty(spec.order**4, dtype=np.intp)
     index[_row0(spec, trans)] = np.arange(len(trans))
     moved = _generator_products(tables, trans).reshape(-1)
@@ -408,7 +372,7 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         if not len(schreier):
             break
         chosen.append(schreier[0])
-        stab = _closure(spec, np.array(chosen), cap)
+        stab, _ = _search(spec, _byte_tables(spec, np.array(chosen)), lambda keys: keys, cap)
     if len(trans) * len(stab) > cap:
         raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
     cosets = _generator_products(_byte_tables(spec, trans), stab)

@@ -14,7 +14,7 @@ from itertools import combinations
 from .arith import factorize, prime_divisors
 from .sympl import group_order, spectrum
 
-__all__ = ["PrimeGraph", "build_graph", "component_count", "separation_check", "graph_json"]
+__all__ = ["PrimeGraph", "build_graph", "separation_check", "graph_json"]
 
 
 @dataclass(frozen=True)
@@ -29,22 +29,6 @@ class PrimeGraph:
             if p in comp:
                 return comp
         raise KeyError(f"{p} is not a vertex")
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGraph:
@@ -87,14 +71,14 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
         fac.update(factorize(cofactor))
     vertices = tuple(sorted(fac))
     edges = {edge for ps in supports for edge in combinations(ps, 2)}
-    uf = _UnionFind(vertices)
+    # merge the vertex sets of each edge's ends; every vertex maps to its set
+    comp_of = {v: {v} for v in vertices}
     for a, b in edges:
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
-    comps.sort(key=lambda c: (2 not in c, c[0]))
+        if comp_of[a] is not comp_of[b]:
+            merged = comp_of[a] | comp_of[b]
+            for v in merged:
+                comp_of[v] = merged
+    comps = sorted({tuple(sorted(c)) for c in comp_of.values()}, key=lambda c: (2 not in c, c[0]))
     oc = []
     for comp in comps:
         part = 1
@@ -102,10 +86,6 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
             part *= p ** fac[p]
         oc.append(part)
     return PrimeGraph(vertices, tuple(sorted(edges)), tuple(comps), tuple(oc))
-
-
-def component_count(graph: PrimeGraph) -> int:
-    return len(graph.components)
 
 
 def separation_check(q: int) -> bool:

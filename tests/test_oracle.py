@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psp4nse import oracle
-from psp4nse.arith import coprime_part, divisors
+from psp4nse.arith import divisors
 from psp4nse.gf2 import FieldSpec
 from psp4nse.oracle import (
     CapacityExceeded,
     EnumeratedGroup,
     Mat4,
     PermGroupSpec,
+    _J_ENTRIES,
     _byte_tables,
     _generator_products,
-    _inverses,
     _keys,
     _kmul,
-    _pack,
-    _transversal,
-    _unpack,
+    _row0,
+    _search,
     enumerate_group,
     order_histogram,
     perm_group_elements,
@@ -30,6 +29,29 @@ from psp4nse.oracle import (
     z4_times_z7_z3,
 )
 from psp4nse.sympl import nse_table
+from reference import coprime_part
+
+
+def _unpack(spec, keys):
+    """The (n, 16) row-major entries of packed keys."""
+    mask = np.uint64(spec.order - 1)
+    out = np.empty((len(keys), 16), dtype=np.uint8)
+    for i in range(16):
+        out[:, i] = (keys >> np.uint64(spec.f * (15 - i))) & mask
+    return out
+
+
+def _pack(spec, entries):
+    """The keys of (n, 16) row-major entries; the inverse of _unpack."""
+    keys = np.zeros(len(entries), dtype=np.uint64)
+    for i in range(16):
+        keys = (keys << np.uint64(spec.f)) | entries[:, i]
+    return keys
+
+
+def _mat(spec, key):
+    """The Mat4 of one packed key."""
+    return Mat4(spec, tuple(_unpack(spec, np.array([key], dtype=np.uint64))[0].tolist()))
 
 
 def test_generator_shapes():
@@ -242,6 +264,27 @@ def _generator_sets(draw):
     return fix_e1, draw(st.lists(st.one_of(kinds), min_size=1, max_size=4))
 
 
+@st.composite
+def _invertible_matrices(draw):
+    """Words in the Sp4(q) generators, permutation and diagonal matrices, q = 4, 8, 16."""
+    q = draw(st.sampled_from([4, 8, 16]))
+    spec = FieldSpec.for_degree(q.bit_length() - 1)
+    unit = st.integers(1, q - 1)
+    return draw(st.one_of(
+        _words.map(lambda w: _word(q, w)),
+        st.permutations(range(4)).map(lambda p: _perm_matrix(spec, p)),
+        st.tuples(unit, unit, unit, unit).map(lambda d: _diag(spec, d)),
+    ))
+
+
+@settings(max_examples=60)
+@given(m=_invertible_matrices())
+def test_inverse_is_two_sided(m):
+    ident = Mat4.identity(m.spec)
+    inv = m.inverse()
+    assert m.mul(inv) == ident and inv.mul(m) == ident
+
+
 @settings(max_examples=40)
 @given(drawn=_generator_sets())
 def test_cosets_of_the_stabilizer_match_scalar_closure(drawn):
@@ -249,8 +292,8 @@ def test_cosets_of_the_stabilizer_match_scalar_closure(drawn):
     spec = gens[0].spec
     if fix_e1:
         tables = _byte_tables(spec, _keys(spec, gens))
-        inverses = _keys(spec, gens)  # any keys do: an orbit of one point needs no inverse
-        assert len(_transversal(spec, tables, inverses)[0]) == 1
+        orbit, levels = _search(spec, tables, lambda keys: _row0(spec, keys), _SMALL_CAP)
+        assert len(orbit) == 1 and sum(len(keys) for keys, _, _ in levels) == 1
     try:
         want = _scalar_closure(gens, _SMALL_CAP)
     except CapacityExceeded:
@@ -261,9 +304,9 @@ def test_cosets_of_the_stabilizer_match_scalar_closure(drawn):
 
 
 def test_singer_cycle_reaches_the_order_bound():
-    # a companion matrix of order q^4 - 1 = 255 in GL4(4): its inverse is the
-    # last power the chain reaches before giving up, and it is transitive on
-    # the nonzero vectors, so the orbit of e1 is the whole group
+    # a companion matrix of order q^4 - 1 = 255 in GL4(4): its inverse is its
+    # 254th power, and it is transitive on the nonzero vectors, so the orbit
+    # of e1 is the whole group
     spec = FieldSpec.for_degree(2)
     singer = Mat4.from_rows(spec, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 2, 1, 0]])
     ident = Mat4.identity(spec)
@@ -271,7 +314,7 @@ def test_singer_cycle_reaches_the_order_bound():
     for _ in range(253):
         power = power.mul(singer)
     assert power != ident and power.mul(singer) == ident
-    assert _inverses(spec, _keys(spec, [singer])).tolist() == [power.packed()]
+    assert singer.inverse() == power
     group = enumerate_group([singer], cap=255)
     assert len(group) == 255 and order_histogram(group)[255] == 128
     with pytest.raises(CapacityExceeded):
@@ -283,12 +326,12 @@ _NILPOTENT = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 _FIXES_E1 = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # rank 3
 
 
-# the chain of a singular matrix runs its full q^4 - 1 steps: 1.4 s at q = 8
 @pytest.mark.parametrize("q, rows", [(4, _RANK_3), (4, _NILPOTENT), (4, _FIXES_E1),
-                                     (8, _FIXES_E1)])
+                                     (8, _FIXES_E1), (16, _FIXES_E1), (16, _NILPOTENT)])
 def test_singular_generator_is_rejected(q, rows):
     gens = sp4_generators(q)
     bad = Mat4.from_rows(gens[0].spec, rows)
+    assert bad.inverse() is None
     with pytest.raises(ValueError, match="generator 8 is not invertible"):
         enumerate_group([*gens, bad], cap=10**7)
     with pytest.raises(ValueError, match="generator 0 is not invertible"):
@@ -333,7 +376,7 @@ def test_histogram_of_non_closed_subsets_matches_per_element_chain(sp44, data):
     picks = data.draw(st.lists(index, min_size=1, max_size=5))
     keys = {int(sp44.keys[i]) for i in data.draw(st.lists(index, max_size=24))}
     for i in picks:
-        g = Mat4(sp44.spec, tuple(_unpack(sp44.spec, sp44.keys[i : i + 1])[0].tolist()))
+        g = _mat(sp44.spec, sp44.keys[i])
         power = g
         while True:
             if data.draw(st.booleans()):
@@ -414,9 +457,18 @@ def test_sp44_membership_is_symplecticity(sp44, index, pos, delta):
     assert (m in sp44) == m.is_symplectic()
 
 
+def _all_symplectic(group):
+    """Vectorized check that every element preserves the alternating form."""
+    mats = _unpack(group.spec, group.keys).reshape(-1, 4, 4)
+    at = _pack(group.spec, mats.transpose(0, 2, 1).reshape(-1, 16))
+    ja = _pack(group.spec, mats[:, ::-1, :].reshape(-1, 16))  # J reverses rows
+    j = Mat4(group.spec, _J_ENTRIES).packed()
+    return bool((_kmul(group.spec, at, ja) == np.uint64(j)).all())
+
+
 def test_sp44_full_enumeration(sp44):
     assert len(sp44) == 979200
-    assert sp44.all_symplectic()
+    assert _all_symplectic(sp44)
     gens = sp4_generators(4)
     assert all(g in sp44 for g in gens)
 
@@ -452,7 +504,7 @@ def test_sp44_weisner_multiples(sp44_hist):
 def test_mul_is_associative_on_sample(sp44):
     rng = np.random.default_rng(3)
     idx = rng.integers(0, len(sp44), size=6)
-    mats = [Mat4(sp44.spec, tuple(int(x) for x in sp44.mats[i].reshape(16))) for i in idx]
+    mats = [_mat(sp44.spec, sp44.keys[i]) for i in idx]
     a, b, c = mats[0], mats[1], mats[2]
     assert a.mul(b).mul(c) == a.mul(b.mul(c))
     assert a.mul(b) in sp44

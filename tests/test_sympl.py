@@ -3,8 +3,9 @@ import hashlib
 import io
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psp4nse import sympl
-from psp4nse.arith import divisors, euler_phi, factorize
+from psp4nse.arith import divisors, factorize
 from psp4nse.sympl import (
     CLASS_FAMILIES,
     class_table,
@@ -25,6 +26,7 @@ from psp4nse.sympl import (
     nse_table_json,
     spectrum,
 )
+from reference import euler_phi
 
 NSE4 = {1: 1, 2: 4335, 3: 10880, 4: 61200, 5: 52224, 6: 163200, 10: 195840, 15: 261120, 17: 230400}
 # hand-evaluated from the count formulas; the partition identity cross-checks the sum
@@ -118,6 +120,24 @@ def test_divisor_sum_divisibility():
         counts = nse_table(q).counts
         for r in spectrum(q):
             assert sum(counts[j] for j in divisors(r)) % r == 0
+
+
+@lru_cache(maxsize=None)
+def _frobenius_inputs(f):
+    """The nse table of PSp4(2^f) and the prime powers of 4(q^2-1) and of q^2+1."""
+    q = 1 << f
+    return nse_table(q).counts, factorize(4 * (q * q - 1)).pairs + factorize(q * q + 1).pairs
+
+
+@settings(max_examples=100)
+@given(f=st.integers(2, 48), data=st.data())
+def test_frobenius_divisibility_at_large_f(f, data):
+    # n = r * s with r | 4(q^2-1) and s | q^2+1 divides |G|, so the solutions of
+    # x^n = 1, the counts of the orders dividing n, are a multiple of n (Frobenius)
+    counts, pairs = _frobenius_inputs(f)
+    for _ in range(4):
+        n = prod(p ** data.draw(st.integers(0, e)) for p, e in pairs)
+        assert sum(c for r, c in counts.items() if n % r == 0) % n == 0
 
 
 def test_class_table_q4():
