@@ -67,7 +67,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality: deterministic below 2^64, 64 seeded rounds above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -131,13 +131,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs, primes strictly increasing."""
 
     pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for p, e in self.pairs:
-            v *= p**e
-        return v
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -101,9 +101,6 @@ class AmcSets(NamedTuple):
     a8: frozenset[int]
     a9: frozenset[int]
 
-    def union(self) -> frozenset[int]:
-        return frozenset().union(*self)
-
 
 def _divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
     """(r, phi(r), psi(r)) for each divisor r > 1 of n, ascending, from the primes of n."""
@@ -934,7 +931,9 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
 
     a_sets = build_A_sets(q)
     checks = []
-    for r in (2, *prime_divisors(q * q + 1), *prime_divisors(q * q - 1)):
+    # pi(q^2-1) ascending, from its coprime factors q-1 and q+1
+    q2m_primes = sorted(prime_divisors(q - 1) + prime_divisors(q + 1))
+    for r in (2, *prime_divisors(q * q + 1), *q2m_primes):
         bucket, allowed = _count_bucket(q, r, a_sets)
         checks.append(PrimeCountCheck(r, table.counts[r], bucket, table.counts[r] in allowed))
     separated = separation_check(q)

@@ -24,10 +24,9 @@ from .characterize import (
     characterize,
     verdict_json,
 )
+from .oracle import DEFAULT_MAX_ENUM
 
 __all__ = ["main"]
-
-DEFAULT_MAX_ENUM = 2_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,9 +64,6 @@ class FieldSpec:
         """Number of field elements, 2^f."""
         return 1 << self.f
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         r = 0
         while b:

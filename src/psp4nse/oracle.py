@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _ORDER_BATCH = 1 << 14
+# the most elements sp4_group enumerates unless told otherwise (Sp4(4) has 979,200)
+DEFAULT_MAX_ENUM = 2_000_000
 
 
 class CapacityExceeded(RuntimeError):
@@ -77,6 +79,9 @@ class Mat4:
     def __post_init__(self) -> None:
         if len(self.entries) != 16:
             raise ValueError("Mat4 needs exactly 16 entries")
+        # an entry of f+1 bits or more would spill into its neighbour in packed()
+        if not all(0 <= e < self.spec.order for e in self.entries):
+            raise ValueError(f"Mat4 entries must lie in 0..{self.spec.order - 1}")
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> Mat4:
@@ -86,10 +91,6 @@ class Mat4:
     def from_rows(cls, spec: FieldSpec, rows) -> Mat4:
         flat = tuple(x for row in rows for x in row)
         return cls(spec, flat)
-
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        r, c = rc
-        return self.entries[4 * r + c]
 
     def mul(self, other: Mat4) -> Mat4:
         if self.spec != other.spec:
@@ -382,7 +383,7 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
 _SP4_CACHE: dict[int, EnumeratedGroup] = {}
 
 
-def sp4_group(q: int, cap: int = 2_000_000) -> EnumeratedGroup:
+def sp4_group(q: int, cap: int = DEFAULT_MAX_ENUM) -> EnumeratedGroup:
     """Enumerate Sp4(q) once per process; capacity errors are not cached.
 
     A q whose group order already exceeds cap fails before any enumeration.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import factorize, prime_divisors
+from .arith import factorize, is_prime, prime_divisors
 from .sympl import group_order, spectrum
 
 __all__ = ["PrimeGraph", "build_graph", "separation_check", "graph_json"]
@@ -43,18 +43,20 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     for s in spec_orders:
         if s < 1 or order % s:
             raise ValueError(f"spectrum member {s} does not divide the order {order}")
-    # every prime of a member divides the order; take the members largest
-    # first and factor only what the primes found so far leave of each
+    # take the members smallest first and divide out the primes found so far.
+    # In a divisor-closed spectrum every prime of a member is a smaller member,
+    # so what is left is 1 or a prime; only a set that is not divisor-closed
+    # can leave a composite for factorize.
     known: list[int] = []
     supports = set()
-    for member in sorted(spec_orders, reverse=True):
+    for member in sorted(spec_orders):
         support = [p for p in known if member % p == 0]
         rest = member
         for p in support:
             while rest % p == 0:
                 rest //= p
         if rest > 1:
-            found = factorize(rest).primes
+            found = (rest,) if is_prime(rest) else factorize(rest).primes
             known.extend(found)
             support.extend(found)
         supports.add(tuple(sorted(support)))
@@ -92,7 +94,9 @@ def separation_check(q: int) -> bool:
     """True iff pi(q^2+1) and pi(2(q^2-1)) fall in distinct components for PSp4(q)."""
     graph = build_graph(set(spectrum(q)), group_order(q))
     odd_side = {graph.component_of(p) for p in prime_divisors(q * q + 1)}
-    even_side = {graph.component_of(p) for p in prime_divisors(2 * (q * q - 1))}
+    # pi(2(q^2-1)) = {2} u pi(q-1) u pi(q+1)
+    even = (2, *prime_divisors(q - 1), *prime_divisors(q + 1))
+    even_side = {graph.component_of(p) for p in even}
     return not (odd_side & even_side)
 
 

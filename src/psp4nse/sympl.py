@@ -61,18 +61,18 @@ def group_order(q: int) -> int:
     return q**4 * (q**4 - 1) * (q**2 - 1)
 
 
-def _order_moduli(q: int) -> tuple[int, ...]:
-    """The element orders of PSp4(q) are exactly the divisors of these numbers."""
-    return (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)
-
-
 @lru_cache(maxsize=64)
 def spectrum(q: int) -> tuple[int, ...]:
-    """Element orders of PSp4(q): every divisor of 4, 2(q-1), 2(q+1), q^2-1, q^2+1."""
+    """Element orders of PSp4(q): every divisor of 4, 2(q-1), 2(q+1), q^2-1, q^2+1.
+
+    Only q-1, q+1 and q^2+1 are factored.  They are odd and gcd(q-1, q+1) = 1,
+    so the divisors of 2(q+-1) are those of q+-1 and their doubles, and those
+    of q^2-1 are the products ab with a | q-1 and b | q+1.
+    """
     validate_q(q)
-    out: set[int] = set()
-    for n in _order_moduli(q):
-        out.update(divisors(n))
+    dm, dp = divisors(q - 1), divisors(q + 1)
+    out = {1, 2, 4, *(2 * d for d in dm + dp), *(a * b for a in dm for b in dp),
+           *divisors(q * q + 1)}
     return tuple(sorted(out))
 
 
@@ -230,20 +230,20 @@ def _exact(num: int, den: int, context: str) -> int:
 
 
 def _order_primes(q: int) -> tuple[int, ...]:
-    """{2} u pi(q^2-1) u pi(q^2+1), ascending: every prime of an element order.
+    """{2} u pi(q-1) u pi(q+1) u pi(q^2+1), ascending: every prime of an element order.
 
-    Every element order divides 2(q^2-1)(q^2+1).  spectrum factors both
-    numbers, so factorize's cache serves them here.
+    Every element order divides 2(q-1)(q+1)(q^2+1).  spectrum factors the
+    three odd pieces, so factorize's cache serves them here.
     """
-    return tuple(sorted({2, *factorize(q * q - 1).primes, *factorize(q * q + 1).primes}))
+    return tuple(sorted({2}.union(*(factorize(n).primes for n in (q - 1, q + 1, q * q + 1)))))
 
 
 def m_of_order(q: int, r: int) -> int:
     """Exact number of elements of order r in PSp4(q)."""
     validate_q(q)
-    if r < 1 or all(n % r for n in _order_moduli(q)):
+    if r < 1 or all(n % r for n in (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)):
         raise ValueError(f"{r} is not an element order of PSp4({q})")
-    return _count(q, r, factorize(r).primes)
+    return _count(q, r, _order_primes(q))
 
 
 def _count(q: int, r: int, primes: tuple[int, ...]) -> int:

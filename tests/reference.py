@@ -4,7 +4,7 @@ Each is the textbook definition over the prime factorization.  No package
 module calls them, so they live beside the checks that do.
 """
 
-from psp4nse.arith import factorize
+from psp4nse.arith import divisors, factorize
 
 
 def euler_phi(n: int) -> int:
@@ -37,3 +37,10 @@ def coprime_part(n: int, k: int) -> int:
 def component_count(graph) -> int:
     """The number of connected components of a PrimeGraph."""
     return len(graph.components)
+
+
+def spectrum_by_moduli(q: int) -> tuple[int, ...]:
+    """Element orders of PSp4(q): the divisors of 4, 2(q-1), 2(q+1), q^2-1 and
+    q^2+1, each number factored whole."""
+    moduli = (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)
+    return tuple(sorted(set().union(*map(divisors, moduli))))

@@ -1,7 +1,7 @@
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +42,7 @@ def test_factorize_basics():
 
 def _assert_round_trip(n):
     fac = factorize(n)
-    assert fac.value == n
+    assert prod(p**e for p, e in fac) == n
     assert all(a < b for a, b in zip(fac.primes, fac.primes[1:]))
     assert all(is_prime(p) for p in fac.primes)
 

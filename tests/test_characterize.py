@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psp4nse import arith, primegraph, sympl
 from psp4nse.arith import cyclotomic_eval, is_prime_power
 from psp4nse.characterize import (
     CONFIRMING,
@@ -38,7 +39,8 @@ from psp4nse.families import (
     order_F4,
     order_G2,
 )
-from psp4nse.sympl import group_order, m_of_order, nse_set, nse_table
+from psp4nse.primegraph import build_graph, separation_check
+from psp4nse.sympl import group_order, m_of_order, nse_set, nse_table, spectrum
 
 
 def test_build_a_sets_q4():
@@ -49,7 +51,7 @@ def test_build_a_sets_q4():
     assert a.a4 == {10880}
     assert a.a5 == {52224}
     assert a.a9 == {230400}
-    assert a.union() == nse_set(4)
+    assert frozenset().union(*a) == nse_set(4)
 
 
 def test_build_a_sets_q8():
@@ -57,7 +59,7 @@ def test_build_a_sets_q8():
     assert a.a4 == {66493440}  # single divisor r = 7 of q-1
     assert len(a.a4) == 1
     assert a.a9 == {16257024, 48771072, 195084288}
-    assert a.union() == nse_set(8)
+    assert frozenset().union(*a) == nse_set(8)
 
 
 def test_build_a_sets_is_cached_per_q():
@@ -71,10 +73,36 @@ def test_build_a_sets_is_cached_per_q():
         build_A_sets(6)
 
 
+def test_only_q_minus_1_q_plus_1_and_q2_plus_1_are_factored(monkeypatch):
+    # at f = 61, q^2-1 = 3 * (2^61-1) * 768614336404564651 has two prime factors
+    # near 2^60, which rho does not split in minutes; q-1 and q+1 apart are easy
+    q = 1 << 61
+    pieces = (q - 1, q + 1, q * q + 1)
+    real = arith.factorize
+
+    def guarded(n):
+        if all(piece % n for piece in pieces):
+            raise AssertionError(f"factorize({n}) divides none of q-1, q+1, q^2+1")
+        return real(n)
+
+    # the package re-exports the function characterize under its module's name
+    for mod in (arith, sympl, primegraph, sys.modules["psp4nse.characterize"]):
+        monkeypatch.setattr(mod, "factorize", guarded)
+    real.cache_clear()
+    spectrum.cache_clear()
+    build_A_sets.cache_clear()
+    table = nse_table(q)
+    build_A_sets(q)
+    assert separation_check(q)
+    assert m_of_order(q, q * q - 1) == table.counts[q * q - 1]
+    graph = build_graph(set(spectrum(q)), group_order(q))
+    assert graph.order_components[-1] == q * q + 1
+
+
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
 def test_a_sets_partition_nse(q):
     a = build_A_sets(q)
-    assert a.union() == nse_set(q)
+    assert frozenset().union(*a) == nse_set(q)
     assert len(a.a2) == 1 and len(a.a3) == 1
     # indexed construction reproduces the count formulas value-for-value
     table = nse_table(q)

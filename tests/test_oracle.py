@@ -66,7 +66,7 @@ def test_generator_shapes():
     ]
     x_2ab = gens[3]
     ident = Mat4.identity(x_2ab.spec)
-    assert x_2ab[0, 3] == 1
+    assert x_2ab.entries[4 * 0 + 3] == 1
     diff = [i for i in range(16) if x_2ab.entries[i] != ident.entries[i]]
     assert diff == [3]
     assert all(m.is_symplectic() for m in gens)
@@ -82,6 +82,18 @@ def test_h11_is_identity():
     spec = FieldSpec.for_degree(2)
     h = Mat4.from_rows(spec, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert h == Mat4.identity(spec)
+
+
+def test_mat4_rejects_entries_outside_the_field():
+    # entry 4 at q = 4 would spill into entry (0,1) of the key and alias x_a
+    x_a = sp4_generators(4)[0]
+    entries = list(x_a.entries)
+    entries[1], entries[2] = 0, 4
+    with pytest.raises(ValueError, match="entries must lie in 0..3"):
+        Mat4(x_a.spec, tuple(entries))
+    entries[2] = -1
+    with pytest.raises(ValueError, match="entries must lie in 0..3"):
+        Mat4(x_a.spec, tuple(entries))
 
 
 def test_mat4_scalar_ops():

@@ -137,7 +137,8 @@ def test_build_graph_equals_factoring_every_member(prime_powers, data):
 
 
 def test_build_graph_factors_no_new_number_above_2_64(monkeypatch):
-    # spectrum has factored q^2 +- 1; the members and the order add only small primes
+    # spectrum has factored q-1, q+1 and q^2+1; build_graph settles each new
+    # prime member with is_prime, and those primes leave the order no cofactor
     q = 1 << 40
     spectrum.cache_clear()
     spec = set(spectrum(q))

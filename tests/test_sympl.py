@@ -26,7 +26,7 @@ from psp4nse.sympl import (
     nse_table_json,
     spectrum,
 )
-from reference import euler_phi
+from reference import euler_phi, spectrum_by_moduli
 
 NSE4 = {1: 1, 2: 4335, 3: 10880, 4: 61200, 5: 52224, 6: 163200, 10: 195840, 15: 261120, 17: 230400}
 # hand-evaluated from the count formulas; the partition identity cross-checks the sum
@@ -63,6 +63,12 @@ def test_spectrum():
         assert 1 in spectrum(1 << f)
 
 
+def test_spectrum_equals_divisors_of_the_order_moduli():
+    # spectrum factors only q-1, q+1 and q^2+1; the reference factors all five moduli
+    for f in range(2, 49):
+        assert spectrum(1 << f) == spectrum_by_moduli(1 << f)
+
+
 def test_m_of_order_q4():
     for r, expected in NSE4.items():
         assert m_of_order(4, r) == expected
@@ -86,19 +92,19 @@ def test_partition_identity_all_f():
 
 @pytest.mark.parametrize("f", [*range(2, 13), 32])
 def test_m_of_order_equals_nse_table(f):
-    # m_of_order reads the primes of r, nse_table those of q^2-1 and q^2+1
+    # one order at a time against the whole table
     q = 1 << f
     table = nse_table(q)
     assert all(m_of_order(q, r) == c for r, c in table.counts.items())
 
 
 def test_nse_table_leaves_few_factorize_entries():
-    # phi and psi come from the primes of q^2-1 and q^2+1, not from
-    # factoring each of the 6,927 orders at f = 48
+    # phi and psi come from the primes of q-1, q+1 and q^2+1, the only
+    # numbers factored, not from factoring each of the 6,927 orders at f = 48
     factorize.cache_clear()
     spectrum.cache_clear()
     nse_table(1 << 48)
-    assert factorize.cache_info().currsize <= 12
+    assert factorize.cache_info().currsize == 3
 
 
 def test_nse_table_keys_are_spectrum():
