@@ -411,15 +411,21 @@ def power_of_two_exponent(q: int) -> int | None:
     return q.bit_length() - 1
 
 
+def validate_q(q: int) -> int:
+    """Return f for q = 2^f with f >= 2, else raise."""
+    f = power_of_two_exponent(q)
+    if f is None or f < 2:
+        raise ValueError(f"q must be a power of 2 greater than 2, got {q}")
+    return f
+
+
 def divisibility_predicates(q: int) -> DivisibilityReport:
     """Divisibility of the five test values into q^4(q^4-1)(q^2-1), with witnesses.
 
     For q = 2^f > 2 the expected pattern: 2q^2+3 and q^4-9 never divide,
     2q^2+1 never divides, and q^2+2 and 3q^2+2 divide only at q = 4.
     """
-    f = power_of_two_exponent(q)
-    if f is None or q <= 2:
-        raise ValueError(f"q must be a power of 2 greater than 2, got {q}")
+    validate_q(q)
     dividend = q**4 * (q**4 - 1) * (q**2 - 1)
     values = (
         ("i", 2 * q * q + 3),

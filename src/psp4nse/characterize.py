@@ -847,13 +847,14 @@ _CASES: tuple[_Case, ...] = (
     _Case("PSp", "PSp2n(q'), q' odd, n = 2^m", _every, _psp_odd_kill, AN_CRESCENZO,
           params=_psp_odd_params,
           empty="no dimension with |PSp2n(3)| <= |G| and 3^n <= 2q^2+1"),
+    # |B_m(q')| = |Omega_{2m+1}(q')| = |PSp_2m(q')|
     _Case("POmega", "B_m(q'), m = 2^t >= 4", lambda g, dims: _root_hits(g.two_q2p1, dims),
           _b_odd_kill, AN_2Q2P1,
           miss=lambda g, dims: f"2q^2+1 = {g.two_q2p1} is not q'^m for m in {_fmt_params(dims)}",
           miss_anchor=AN_CRESCENZO,
-          params=_dims(lambda m: fam.omega_odd_order(m, 3), lambda: _two_powers(4)),
+          params=_dims(lambda m: fam.psp_order(m, 3), lambda: _two_powers(4)),
           empty="no dimension: |B4(3)| already exceeds |G|"),
-    _scan("POmega", "B_m(3), m odd prime", _dims(lambda m: fam.omega_odd_order(m, 3)),
+    _scan("POmega", "B_m(3), m odd prime", _dims(lambda m: fam.psp_order(m, 3)),
           lambda m: ((3**m - 1) // 2,), _THREE_POWER, AN_POWER2, AN_POWER2),
     _Case("POmega", "D+_m(q'), m >= 5 prime", _every, _dplus_kill, AN_OC_TABLES,
           params=_dplus_params, empty="no dimension: |D+5(2)| already exceeds |G|"),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,6 +23,7 @@ from .characterize import (
     characterize,
     verdict_json,
 )
+# re-exported: perfbench reads the oracle's element budget from here
 from .oracle import DEFAULT_MAX_ENUM
 
 __all__ = ["main"]
@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="write class table, nse table, spectrum, prime graph")
     p_compute.add_argument("--q", type=int, required=True, help="q = 2^f > 2")
-    p_compute.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="format of the summary printed to stdout")
     p_compute.add_argument("--out", default=".", help="output directory")
 
     p_oracle = sub.add_parser("oracle", help="enumerate Sp4(q) by brute force")
@@ -70,16 +68,6 @@ def _decimal(text) -> int | None:
     if isinstance(text, str) and text.isascii() and text.isdigit():
         return int(text)
     return None
-
-
-def _max_enum_from_env() -> int:
-    raw = os.environ.get("NSE_MAX_ENUM")
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    value = _decimal(raw)
-    if value is None or value < 1:
-        raise ValueError(f"NSE_MAX_ENUM must be a positive decimal integer, got {raw!r}")
-    return value
 
 
 def _nse_value(v) -> int:
@@ -119,16 +107,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     graph = primegraph.build_graph(set(spec), table.order)
     _write_json(out / f"prime_graph_q{q}.json", primegraph.graph_json(graph))
 
-    if args.format == "csv":
-        sys.stdout.write(classes_csv)
-    else:
-        json.dump(nse_obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    json.dump(nse_obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     print(f"wrote nse, classes, spectrum, prime graph for q={q} to {out}", file=sys.stderr)
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace, max_enum: int) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     status = 0
@@ -166,7 +151,7 @@ def _cmd_oracle(args: argparse.Namespace, max_enum: int) -> int:
         return 2
     q = args.q
     sympl.validate_q(q)
-    group = oracle.sp4_group(q, cap=max_enum)
+    group = oracle.sp4_group(q)
     hist = oracle.order_histogram(group)
     _write_json(out / f"histogram_q{q}.json", {
         "q": q,
@@ -281,11 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     """Parse the arguments and run one command; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        max_enum = _max_enum_from_env()
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "oracle":
-            return _cmd_oracle(args, max_enum)
+            return _cmd_oracle(args)
         if args.command == "characterize":
             return _cmd_characterize(args)
         if args.command == "catalan":

@@ -23,7 +23,6 @@ __all__ = [
     "psl_order",
     "psu_order",
     "psp_order",
-    "omega_odd_order",
     "pomega_plus_order",
     "pomega_minus_order",
     "order_2B2",
@@ -55,11 +54,6 @@ def psp_order(n: int, q: int) -> int:
     """|PSp_2n(q)|."""
     v = q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
     return v // gcd(2, q - 1)
-
-
-def omega_odd_order(m: int, q: int) -> int:
-    """|Omega_{2m+1}(q)| (equal to |PSp_2m(q)| as a polynomial)."""
-    return psp_order(m, q)
 
 
 def pomega_plus_order(m: int, q: int) -> int:

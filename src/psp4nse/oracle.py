@@ -59,10 +59,12 @@ __all__ = [
 _ORDER_BATCH = 1 << 14
 # the most elements sp4_group enumerates unless told otherwise (Sp4(4) has 979,200)
 DEFAULT_MAX_ENUM = 2_000_000
+# the most elements the permutation engine closes; read at call time
+_PERM_MAX = 1_000_000
 
 
 class CapacityExceeded(RuntimeError):
-    """Raised when a closure grows past the configured cap."""
+    """Raised when a closure grows past its element budget."""
 
 
 # The alternating form: all-ones antidiagonal (signs vanish in characteristic 2).
@@ -518,8 +520,8 @@ def _from_cycles(degree: int, cycles: list[list[int]]) -> Perm:
     return tuple(img)
 
 
-def perm_group_elements(spec: PermGroupSpec, cap: int = 1_000_000) -> set[Perm]:
-    """Closure of the generators; breadth-first, capped."""
+def perm_group_elements(spec: PermGroupSpec) -> set[Perm]:
+    """Closure of the generators; breadth-first, at most _PERM_MAX elements."""
     ident = tuple(range(spec.degree))
     seen = {ident}
     frontier = [ident]
@@ -530,17 +532,17 @@ def perm_group_elements(spec: PermGroupSpec, cap: int = 1_000_000) -> set[Perm]:
                 q = _perm_mul(p, g)
                 if q not in seen:
                     seen.add(q)
-                    if len(seen) > cap:
-                        raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
+                    if len(seen) > _PERM_MAX:
+                        raise CapacityExceeded(f"closure exceeded cap of {_PERM_MAX} elements")
                     nxt.append(q)
         frontier = nxt
     return seen
 
 
-def perm_nse(spec: PermGroupSpec, cap: int = 1_000_000) -> OrderHistogram:
+def perm_nse(spec: PermGroupSpec) -> OrderHistogram:
     """Order histogram of the group generated by the permutation spec."""
     counts: dict[int, int] = {}
-    for p in perm_group_elements(spec, cap):
+    for p in perm_group_elements(spec):
         k = _perm_order(p)
         counts[k] = counts.get(k, 0) + 1
     return OrderHistogram(dict(sorted(counts.items())))

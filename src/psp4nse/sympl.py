@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, factorize, phi_psi, power_of_two_exponent
+from .arith import divisors, factorize, phi_psi, validate_q
 
 __all__ = [
     "ClassDescriptor",
@@ -45,14 +45,6 @@ CLASS_FAMILIES = (
     "C1", "C2", "C3", "C4",
     "D1", "D2", "D3", "D4",
 )
-
-
-def validate_q(q: int) -> int:
-    """Return f for q = 2^f with f >= 2, else raise."""
-    f = power_of_two_exponent(q)
-    if f is None or f < 2:
-        raise ValueError(f"q must be a power of 2 greater than 2, got {q}")
-    return f
 
 
 def group_order(q: int) -> int:

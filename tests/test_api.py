@@ -96,3 +96,26 @@ def test_every_exported_function_is_used_outside_the_tests():
               if (leaf := name.rsplit(".", 1)[-1]) not in used
               and not re.search(rf"\b{leaf}\b", readme)]
     assert unused == []
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that name os.environ or os.getenv, as an attribute or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            named = node.value.id == "os" and node.attr in ("environ", "getenv")
+        elif isinstance(node, ast.ImportFrom):
+            named = node.module == "os" and any(
+                a.name in ("environ", "getenv") for a in node.names)
+        else:
+            named = False
+        if named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_package_reads_no_environment():
+    reads = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))
+             for line in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert reads == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp4nse import cli
+from psp4nse import cli, oracle
 from psp4nse.characterize import characterize, verdict_json
 from psp4nse.sympl import group_order, nse_set, nse_table, nse_table_json
 
@@ -35,11 +35,11 @@ def test_compute_writes_artifacts(tmp_path, capsys):
     assert graph["order_components"] == ["57600", "17"]
 
 
-def test_compute_csv_stdout_is_the_written_table(tmp_path, capfdbinary):
-    assert run_cli(["compute", "--q", "8", "--format", "csv", "--out", str(tmp_path)]) == 0
+def test_compute_stdout_is_the_written_nse_json(tmp_path, capfdbinary):
+    assert run_cli(["compute", "--q", "8", "--out", str(tmp_path)]) == 0
     out = capfdbinary.readouterr().out
-    assert out.startswith(b"name,i,j,rep_order,")
-    assert out == (tmp_path / "classes_q8.csv").read_bytes()
+    assert out.startswith(b'{\n  "q": 8,')
+    assert out == (tmp_path / "nse_q8.json").read_bytes()
 
 
 def test_compute_rejects_bad_q(tmp_path):
@@ -145,13 +145,11 @@ def test_characterize_accepts_json_integers(tmp_path, capsys):
     assert json.loads(out.read_text())["outcome"] == "IsomorphicToPSp4"
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3", ""])
-def test_bad_max_enum_is_a_config_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("NSE_MAX_ENUM", value)
-    assert run_cli(["selftest"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: NSE_MAX_ENUM must be a positive decimal integer, got {value!r}\n"
+def test_selftest_ignores_nse_max_enum(monkeypatch, capsys):
+    # the element budget is fixed: the CLI reads no environment variable
+    monkeypatch.setenv("NSE_MAX_ENUM", "abc")
+    assert run_cli(["selftest"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_characterize_not_applicable(tmp_path):
@@ -189,12 +187,22 @@ def test_oracle_compare(tmp_path, capsys, sp44):
     assert hist["counts"]["17"] == "230400"
 
 
-def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
+def test_oracle_compare_ignores_nse_max_enum(tmp_path, monkeypatch, capsys, sp44):
     monkeypatch.setenv("NSE_MAX_ENUM", "1000")
-    # q >= 32 has no 64-bit key, but its group order already exceeds the cap
+    assert run_cli(["oracle", "--q", "4", "--compare", "--out", str(tmp_path)]) == 0
+    assert "compare: OK" in capsys.readouterr().out
+
+
+def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
+    # |Sp4(8)| = 1,056,706,560 already exceeds the 2,000,000-element budget, so
+    # sp4_group refuses these q from the group order before building a generator
+    def no_generators(q):
+        raise AssertionError(f"Sp4({q}) generators built past the budget")
+
+    monkeypatch.setattr(oracle, "sp4_generators", no_generators)
     for q in ("8", "32", "512"):
         assert run_cli(["oracle", "--q", q, "--out", str(tmp_path)]) == 1
-        assert "closure exceeded cap of 1000 elements" in capsys.readouterr().err
+        assert "closure exceeded cap of 2000000 elements" in capsys.readouterr().err
 
 
 def test_oracle_without_args_errors(tmp_path):

@@ -538,9 +538,10 @@ def test_perm_group_order84():
     assert len(h) == 84
 
 
-def test_perm_capacity():
-    with pytest.raises(CapacityExceeded):
-        perm_group_elements(z4_times_z7_z3(), cap=10)
+def test_perm_capacity(monkeypatch):
+    monkeypatch.setattr(oracle, "_PERM_MAX", 10)
+    with pytest.raises(CapacityExceeded, match="cap of 10 elements"):
+        perm_group_elements(z4_times_z7_z3())
 
 
 def test_example84_nse_sets(hist84_g, hist84_h):
