@@ -114,6 +114,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.q is None and not args.example_84:
+        print("oracle: nothing to do (give --q and/or --example-84)", file=sys.stderr)
+        return 2
+    # sp4_group validates q and refuses a q over its element budget before any file is written
+    group = None if args.q is None else oracle.sp4_group(args.q)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     status = 0
@@ -142,16 +147,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             and not report["Z3x(Z7:Z4)"]["has_order_28"]
         )
         print(f"example-84: nse match={ok}")
-        status = max(status, 0 if ok else 1)
-        if args.q is None:
-            return status
+        status = 0 if ok else 1
+    if group is None:
+        return status
 
-    if args.q is None:
-        print("oracle: nothing to do (give --q and/or --example-84)", file=sys.stderr)
-        return 2
     q = args.q
-    sympl.validate_q(q)
-    group = oracle.sp4_group(q)
     hist = oracle.order_histogram(group)
     _write_json(out / f"histogram_q{q}.json", {
         "q": q,

@@ -205,8 +205,25 @@ def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
         assert "closure exceeded cap of 2000000 elements" in capsys.readouterr().err
 
 
-def test_oracle_without_args_errors(tmp_path):
-    assert run_cli(["oracle", "--out", str(tmp_path)]) == 2
+def test_oracle_without_args_errors(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run_cli(["oracle", "--out", str(out)]) == 2
+    assert "nothing to do" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, code, message", [
+    ("3", 2, "q must be a power of 2 greater than 2, got 3"),
+    ("8", 1, "closure exceeded cap of 2000000 elements"),
+])
+def test_oracle_refuses_bad_q_before_any_file(tmp_path, capsys, q, code, message):
+    # --example-84 alone would write example_84.json; a bad --q beside it writes nothing
+    out = tmp_path / "D"
+    assert run_cli(["oracle", "--q", q, "--example-84", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_selftest(capsys):
