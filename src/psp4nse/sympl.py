@@ -110,7 +110,8 @@ class ClassTable:
 
 
 # the most rows class_table builds: about q^2 of them (2^24 at q = 2^12, 2^26 at
-# q = 2^13), some 130 bytes each with the CSV.  Within it q <= 2^12, so q * i % m
+# q = 2^13).  The CSV takes 53 bytes a row at q = 2^11, and `compute --q 2048`
+# peaks at 561 MB RSS, some 130 bytes a row.  Within it q <= 2^12, so q * i % m
 # in _least_in_q_orbit stays below q^3/2 <= 2^35 and every column fits int64.
 _CLASS_TABLE_MAX_ROWS = 1 << 25
 
@@ -304,16 +305,96 @@ def nse_table_json(table: NseTable) -> dict:
     }
 
 
+_WORD_BASE = 10**4
+_NUL_WORD = 2 * _WORD_BASE
+# rows per buffer: each slice becomes text before the next is built, so only
+# one slice of words and bytes is alive beside the text
+_CSV_SLICE_ROWS = 1 << 14
+
+
+@lru_cache(maxsize=1)
+def _word_table() -> np.ndarray:
+    """The 2 * 10^4 + 1 four-byte ASCII words the CSV is assembled from (read-only).
+
+    Word v < 10^4 is v right-aligned after NUL bytes ("0" for 0), word
+    10^4 + v is v zero-padded to 4 digits, and word 2 * 10^4 is all NUL.
+    The words are uint32 views of byte rows, so their bytes keep their order.
+    Built on first use: at import it raised the peak RSS of runs that never
+    write a CSV by about 0.4 MB.
+    """
+    v = np.arange(_WORD_BASE)[:, None]
+    digits = (v // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    words = np.zeros((_NUL_WORD + 1, 4), dtype=np.uint8)
+    # a digit is a leading zero when v is below its place value; 0 keeps its last
+    words[:_WORD_BASE] = np.where(v < np.array([1000, 100, 10, 0]), 0, digits)
+    words[_WORD_BASE:_NUL_WORD] = digits
+    words = words.view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
+def _text_words(text: str) -> np.ndarray:
+    """text as whole words, left-padded with NUL to a multiple of 4 bytes."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.rjust(-(-len(data) // 4) * 4, b"\0"), dtype=np.uint32)
+
+
+def _csv_column(family: str, column) -> np.ndarray:
+    """column as int64 after checking the writer can print it: integers in [0, 10^8)."""
+    column = np.asarray(column)
+    if not np.issubdtype(column.dtype, np.integer):
+        raise ValueError(f"class table column of {family} has dtype {column.dtype}, "
+                         f"not an integer dtype")
+    if len(column) and (column.min() < 0 or column.max() >= _WORD_BASE**2):
+        raise ValueError(f"class table column of {family} holds values outside "
+                         f"[0, 10^8): {column.min()}..{column.max()}")
+    return column.astype(np.int64, copy=False)
+
+
 def class_table_csv(table: ClassTable) -> str:
     """CSV text: name,i,j,rep_order,class_count_index,class_length.
 
-    Each family is one format string with its name and class length built in,
-    applied to the columns of its block; an absent parameter is an empty field.
+    Rows are assembled as 4-byte words in a uint32 buffer, a slice of rows at
+    a time.  Each number is its high and low word of _word_table() (divmod by
+    10^4; a column that stays below 10^4 has no high word); the family name,
+    the separators (an absent parameter is an empty field) and the class
+    length are constant words.  Deleting the NUL padding leaves the text.  Every
+    column value must lie in [0, 10^8), else ValueError names the family;
+    class_table's do (i < q^2/2, rep_order <= q^2 + 1 and fewer than 2^25
+    rows per block for q <= 2^12).
     """
+    lookup = _word_table()
     parts = ["name,i,j,rep_order,class_count_index,class_length\n"]
     for family, i, j, rep, length in table.blocks:
-        fields = ["" if c is None else "%d" for c in (i, j)]
-        fmt = ",".join([family, *fields, "%d,%d", str(length)]) + "\n"
-        cols = [c.tolist() for c in (i, j, rep) if c is not None]
-        parts.append("".join(map(fmt.__mod__, zip(*cols, range(len(rep))))))
+        rows = len(rep)
+        # a row is texts[0], columns[0], texts[1], ..., columns[-1], texts[-1]
+        texts, columns = [], []
+        text = family
+        for column in (i, j, rep, np.arange(rows)):
+            text += ","
+            if column is not None:
+                column = _csv_column(family, column)
+                texts.append(_text_words(text))
+                columns.append((column, column.max(initial=0) >= _WORD_BASE))
+                text = ""
+        texts.append(_text_words(f"{text},{length}\n"))
+        width = sum(map(len, texts)) + sum(1 + wide for _, wide in columns)
+        for start in range(0, rows, _CSV_SLICE_ROWS):
+            stop = min(start + _CSV_SLICE_ROWS, rows)
+            buf = np.empty((stop - start, width), dtype=np.uint32)
+            k = 0
+            for words, (column, wide) in zip(texts, columns):
+                buf[:, k:k + len(words)] = words
+                k += len(words)
+                values = column[start:stop]
+                if wide:
+                    high, low = np.divmod(values, _WORD_BASE)
+                    has_high = high > 0
+                    buf[:, k] = lookup[np.where(has_high, high, _NUL_WORD)]
+                    values = low + _WORD_BASE * has_high
+                    k += 1
+                buf[:, k] = lookup[values]
+                k += 1
+            buf[:, k:] = texts[-1]
+            parts.append(buf.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)

@@ -44,3 +44,18 @@ def spectrum_by_moduli(q: int) -> tuple[int, ...]:
     q^2+1, each number factored whole."""
     moduli = (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)
     return tuple(sorted(set().union(*map(divisors, moduli))))
+
+
+def class_table_csv(table) -> str:
+    """CSV text: name,i,j,rep_order,class_count_index,class_length.
+
+    Each family is one format string with its name and class length built in,
+    applied to the columns of its block; an absent parameter is an empty field.
+    """
+    parts = ["name,i,j,rep_order,class_count_index,class_length\n"]
+    for family, i, j, rep, length in table.blocks:
+        fields = ["" if c is None else "%d" for c in (i, j)]
+        fmt = ",".join([family, *fields, "%d,%d", str(length)]) + "\n"
+        cols = [c.tolist() for c in (i, j, rep) if c is not None]
+        parts.append("".join(map(fmt.__mod__, zip(*cols, range(len(rep))))))
+    return "".join(parts)

@@ -46,3 +46,15 @@ def test_oracle_pass_has_no_failures(workloads, traced):
         names = {span[1] for span in result["spans"]}
         assert {"oracle.enumerate", "oracle.histogram", "oracle.compare"} <= names
         assert result["counters"]["oracle.elements"] == 979_200
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_closed_forms_pass_has_no_failures(workloads, traced):
+    # compute for f = 2..9 and nse-graph for f = 32, 40, 48; each output is
+    # checked against its digest in perfbench/goldens.json
+    result = workloads.run_pass("closed-forms", 11, traced)
+    assert result["attempted"] == 11
+    assert result["failed"] == 0, result["failures"][:3]
+    if traced:
+        names = {span[1] for span in result["spans"]}
+        assert {"sympl.class_table", "sympl.serialize"} <= names

@@ -26,6 +26,7 @@ from psp4nse.sympl import (
     nse_table_json,
     spectrum,
 )
+import reference
 from reference import euler_phi, spectrum_by_moduli
 
 NSE4 = {1: 1, 2: 4335, 3: 10880, 4: 61200, 5: 52224, 6: 163200, 10: 195840, 15: 261120, 17: 230400}
@@ -278,6 +279,16 @@ def test_class_table_rejects_q_beyond_int64(monkeypatch):
     budget = sympl._CLASS_TABLE_MAX_ROWS
     assert rows(1 << 12) == 16_785_411 <= budget < rows(1 << 13)
     assert (1 << 12) ** 3 // 2 == 2**35
+    # the same budget keeps class_table_csv exact, whose columns must lie below
+    # 10^8: for q <= 2^12, i < q^2/2, rep_order <= q^2 + 1 and a block, hence
+    # its class_count_index, has fewer than 2^25 rows
+    q = 1 << 12
+    assert max(q * q // 2, q * q + 1, budget) == 2**25 < 10**8
+    for f in range(2, 10):
+        q = 1 << f
+        for _, i, j, rep, _ in class_table(q).blocks:
+            assert all(c.max(initial=0) < q * q // 2 for c in (i, j) if c is not None)
+            assert rep.max(initial=0) <= q * q + 1 and len(rep) < budget
 
     # without numpy any array the table allocates fails with an AttributeError
     monkeypatch.setattr(sympl, "np", None)
@@ -307,6 +318,65 @@ def test_class_table_csv():
     assert [r["class_count_index"] for r in b5_rows] == ["0", "1", "2", "3"]
     a1 = rows[0]
     assert a1["name"] == "A1" and a1["i"] == "" and a1["rep_order"] == "1"
+
+
+# values whose words differ: 1 and 4 digits, below, at and above 10^4, the largest
+CSV_EDGE_VALUES = [0, 9, 9999, 10**4, 10**4 + 1, 10**8 - 1]
+
+
+@st.composite
+def _hand_built_blocks(draw):
+    """A ClassBlock of 0-300 rows with or without i and j, in an integer dtype
+    that holds [0, 10^8); each column is drawn below a bound on either side of
+    10^4, so the writer meets columns with and without a high word."""
+    rows = draw(st.integers(0, 300))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint32, np.uint64]))
+    # drawing 300 values one by one makes an example cost 50 ms; a seeded
+    # generator fills the column instead
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        bound = draw(st.sampled_from([10, 10**4, 10**4 + 2, 10**8]))
+        return rng.integers(0, bound, rows).astype(dtype)
+
+    i, j = (column() if draw(st.booleans()) else None for _ in range(2))
+    return sympl.ClassBlock(draw(st.sampled_from(CLASS_FAMILIES)), i, j, column(),
+                            draw(st.integers(0, 2**256)))
+
+
+@settings(max_examples=200)
+@given(blocks=st.lists(_hand_built_blocks(), max_size=5), family=st.sampled_from(CLASS_FAMILIES))
+def test_class_table_csv_equals_reference_on_hand_built_tables(blocks, family):
+    edge = np.array(CSV_EDGE_VALUES, dtype=np.int64)
+    blocks.append(sympl.ClassBlock(family, edge, edge[::-1].copy(), edge, 2**256))
+    table = sympl.ClassTable(tuple(blocks))
+    expected = reference.class_table_csv(table)
+    assert class_table_csv(table).splitlines(True) == expected.splitlines(True)
+
+
+@pytest.mark.parametrize("bad", [-1, 10**8])
+@pytest.mark.parametrize("column", ["i", "j", "rep_order"])
+def test_class_table_csv_rejects_values_it_cannot_print(bad, column):
+    values = np.array([5, bad, 7], dtype=np.int64)
+    cols = {"i": np.arange(3), "j": np.arange(3), "rep_order": np.arange(3), column: values}
+    table = sympl.ClassTable((sympl.ClassBlock("B3", cols["i"], cols["j"], cols["rep_order"], 1),))
+    with pytest.raises(ValueError, match=r"^class table column of B3 holds values outside"):
+        class_table_csv(table)
+
+
+@pytest.mark.parametrize("values", [np.array([1.0, 2.0]), np.array([True, False]),
+                                    np.array([1, 2], dtype=object)])
+def test_class_table_csv_rejects_non_integer_columns(values):
+    table = sympl.ClassTable((sympl.ClassBlock("C1", values, None, np.array([1, 3]), 1),))
+    with pytest.raises(ValueError, match=r"^class table column of C1 has dtype .* not an integer"):
+        class_table_csv(table)
+
+
+def test_class_table_csv_equals_reference_beyond_the_goldens():
+    # the recorded classes/f* digests stop at f = 9; f = 10 has 1,050,627 rows
+    table = class_table(1 << 10)
+    assert len(table) == 1_050_627
+    assert _digest(class_table_csv(table)) == _digest(reference.class_table_csv(table))
 
 
 def _digest(text: str) -> str:
