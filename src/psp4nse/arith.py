@@ -1,11 +1,11 @@
 """Exact integer number theory used throughout the package.
 
 Factorization (trial division backed by a sieve, then Pollard-Brent rho),
-divisor machinery, prime-power counting, the Euler and Dedekind
-multiplicative functions, exact cyclotomic values including the twisted
-factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1, and the
-divisibility predicates about q^4(q^4-1)(q^2-1) that the characterization
-pipeline relies on.
+one divisor walk that gives every divisor of a number with its Euler phi and
+Dedekind psi, prime-power counting, exact cyclotomic values including the
+twisted factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1,
+and the divisibility predicates about q^4(q^4-1)(q^2-1) that the
+characterization pipeline relies on.
 
 All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
 2^62 in the prime-counting table; nothing here ever goes through floats.
@@ -28,12 +28,12 @@ __all__ = [
     "DivisibilityCheck",
     "DivisibilityReport",
     "factorize",
+    "divisor_phi_psi",
     "divisors",
     "prime_divisors",
     "is_prime",
     "is_prime_power",
     "prime_power_count",
-    "phi_psi",
     "cyclotomic_eval",
     "twisted_cyclotomic_eval",
     "classify_catalan",
@@ -175,12 +175,28 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(sorted(out.items())))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
+def divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
+    """(d, phi(d), psi(d)) for every divisor d of n >= 1, ascending in d.
+
+    phi is Euler's totient and psi Dedekind's.  Both are multiplicative, so
+    the rows are built from factorize(n) one prime power at a time:
+    phi(p^k) = p^(k-1) (p-1) and psi(p^k) = p^(k-1) (p+1) for k >= 1.
+    """
+    rows = [(1, 1, 1)]
     for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+        powers = [(1, 1, 1)]
+        for _ in range(e):
+            pk = powers[-1][0]
+            powers.append((pk * p, pk * (p - 1), pk * (p + 1)))
+        rows = [(d * pd, phi * pphi, psi * ppsi)
+                for d, phi, psi in rows for pd, pphi, ppsi in powers]
+    rows.sort()
+    return rows
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending: the d column of divisor_phi_psi."""
+    return [d for d, _, _ in divisor_phi_psi(n)]
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -237,31 +253,6 @@ def prime_power_count(n: int) -> int:
     small, large = _prime_pi_table(n)
     # every k-th root with k >= 2 is at most isqrt(n), inside the small table
     return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))
-
-
-def phi_psi(n: int, primes) -> tuple[int, int]:
-    """(phi(n), psi(n)), Euler's totient and Dedekind's psi, for n >= 1, dividing n
-    only by the given primes.
-
-    primes must be primes; ascending order lets the loop stop early.  A
-    cofactor other than 1 means n has a prime outside the list, and raises
-    ValueError instead of returning a wrong value.
-    """
-    if n < 1:
-        raise ValueError(f"phi_psi requires n >= 1, got {n}")
-    phi = psi = m = n
-    for p in primes:
-        if m == 1:
-            break
-        if m % p == 0:
-            phi = phi // p * (p - 1)
-            psi = psi // p * (p + 1)
-            m //= p
-            while m % p == 0:
-                m //= p
-    if m != 1:
-        raise ValueError(f"{n} has the cofactor {m} outside the given primes")
-    return phi, psi
 
 
 @lru_cache(maxsize=4096)

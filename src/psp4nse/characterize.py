@@ -24,13 +24,11 @@ from typing import Callable, NamedTuple
 from . import families as fam
 from .arith import (
     DivisibilityCheck,
-    divisors,
-    factorize,
+    divisor_phi_psi,
     is_prime,
     is_prime_power,
     last_within,
     nth_root,
-    phi_psi,
     power_of_two_exponent,
     prime_divisors,
     prime_power_count,
@@ -102,27 +100,21 @@ class AmcSets(NamedTuple):
     a9: frozenset[int]
 
 
-def _divisor_phi_psi(n: int) -> list[tuple[int, int, int]]:
-    """(r, phi(r), psi(r)) for each divisor r > 1 of n, ascending, from the primes of n."""
-    primes = factorize(n).primes
-    return [(r, *phi_psi(r, primes)) for r in divisors(n)[1:]]
-
-
 @lru_cache(maxsize=64)
 def build_A_sets(q: int) -> AmcSets:
     """The candidate same-order-count sets, built clause by clause and cached
     per q (AmcSets is immutable).
 
-    Deliberately restates the count formulas instead of calling m_of_order, so
-    the union test against nse_set(q) is a genuine cross-check of the
-    dispatcher.  Each fractional coefficient is cleared into one exact division.
+    Deliberately restates the count formulas instead of reading nse_table, so
+    the union test against nse_set(q) is a genuine cross-check of it.  Each
+    fractional coefficient is cleared into one exact division.
     """
     validate_q(q)
     q3, q4 = q**3, q**4
     o4 = q4 - 1
     # A4 and A6 read the divisors of q-1, A5 and A7 those of q+1
-    qm = _divisor_phi_psi(q - 1)
-    qp = _divisor_phi_psi(q + 1)
+    qm = divisor_phi_psi(q - 1)[1:]
+    qp = divisor_phi_psi(q + 1)[1:]
     # phi(r) q^3 (q^2+1)(q+-1) (1 - q(q+-1)/2 + q(q+-1)/8 psi(r)), bracket times 8
     a4 = frozenset(
         _exact(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8, "A4")
@@ -145,7 +137,7 @@ def build_A_sets(q: int) -> AmcSets:
         # gcd(q-1, q+1) = 1, so phi(rs) = phi(r) phi(s)
         a8=frozenset(_exact(a * b * q4 * o4, 2, "A8") for a in phi_m for b in phi_p),
         a9=frozenset(
-            _exact(phi * q4 * (q * q - 1) ** 2, 4, "A9") for _, phi, _ in _divisor_phi_psi(q * q + 1)
+            _exact(phi * q4 * (q * q - 1) ** 2, 4, "A9") for _, phi, _ in divisor_phi_psi(q * q + 1)[1:]
         ),
     )
 
@@ -508,7 +500,7 @@ def _suzuki_kill(g, x):
     rt = isqrt(2 * x)
     s_plus = x + rt + 1
     base = g.q**4 * (g.q * g.q - 1) ** 2 // 4
-    surviving = [r for r, phi, _ in _divisor_phi_psi(x - rt + 1) if (phi * base) % s_plus == 0]
+    surviving = [r for r, phi, _ in divisor_phi_psi(x - rt + 1)[1:] if (phi * base) % s_plus == 0]
     if surviving:
         return NEEDS_MANUAL_LEMMA, f"q'={x}: {s_plus} divides the candidate count for r in {surviving}"
     return (ELIMINATED,

@@ -14,13 +14,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import merge
 from itertools import repeat
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, factorize, phi_psi, validate_q
+from .arith import divisor_phi_psi, divisors, validate_q
 
 __all__ = [
     "ClassDescriptor",
@@ -222,55 +222,12 @@ def _exact(num: int, den: int, context: str) -> int:
     return quot
 
 
-def _order_primes(q: int) -> tuple[int, ...]:
-    """{2} u pi(q-1) u pi(q+1) u pi(q^2+1), ascending: every prime of an element order.
-
-    Every element order divides 2(q-1)(q+1)(q^2+1).  spectrum factors the
-    three odd pieces, so factorize's cache serves them here.
-    """
-    return tuple(sorted({2}.union(*(factorize(n).primes for n in (q - 1, q + 1, q * q + 1)))))
-
-
 def m_of_order(q: int, r: int) -> int:
     """Exact number of elements of order r in PSp4(q)."""
-    validate_q(q)
-    if r < 1 or all(n % r for n in (4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)):
+    counts = nse_table(q).counts
+    if r not in counts:
         raise ValueError(f"{r} is not an element order of PSp4({q})")
-    return _count(q, r, _order_primes(q))
-
-
-def _count(q: int, r: int, primes: tuple[int, ...]) -> int:
-    """m_r for an element order r of PSp4(q); primes must hold every prime of r.
-
-    Dispatch is by the unique way r sits against q: r in {1,2,4}; odd r
-    dividing q^2+1; odd r dividing q^2-1 split coprimely across q-1 and q+1
-    (gcd(q-1, q+1) = 1 for even q); or r = 2r' with r' dividing q-1 or q+1.
-    The fractional coefficients are cleared into one exact division.
-    """
-    if r == 1:
-        return 1
-    if r == 2:
-        return (q * q + 1) * (q**4 - 1)
-    if r == 4:
-        return q * q * (q * q - 1) * (q**4 - 1)
-    if r % 2 == 0:
-        rr = r // 2
-        phi = phi_psi(rr, primes)[0]
-        if (q - 1) % rr == 0:
-            return phi * q**3 * (q + 1) * (q**4 - 1)
-        return phi * q**3 * (q - 1) * (q**4 - 1)
-    phi, psi = phi_psi(r, primes)
-    if (q * q + 1) % r == 0:
-        return _exact(phi * q**4 * (q * q - 1) ** 2, 4, f"m_{r}, r | q^2+1")
-    r_minus, r_plus = gcd(r, q - 1), gcd(r, q + 1)
-    if r_plus == 1:
-        # 1 - q(q+1)/2 + q(q+1)/8 psi(r), times 8
-        bracket = 8 - 4 * q * (q + 1) + q * (q + 1) * psi
-        return _exact(phi * q**3 * (q * q + 1) * (q + 1) * bracket, 8, f"m_{r}, r | q-1")
-    if r_minus == 1:
-        bracket = 8 - 4 * q * (q - 1) + q * (q - 1) * psi
-        return _exact(phi * q**3 * (q * q + 1) * (q - 1) * bracket, 8, f"m_{r}, r | q+1")
-    return _exact(phi * q**4 * (q**4 - 1), 2, f"m_{r}, mixed divisor of q^2-1")
+    return counts[r]
 
 
 @dataclass(frozen=True)
@@ -285,10 +242,46 @@ class NseTable:
         return frozenset(self.counts.values())
 
 
+def _scaled(divs, c: int, k: int = 1):
+    """(k r, phi(r) c) for the rows (r, phi(r), psi(r)) of divs, ascending in r."""
+    return ((k * r, phi * c) for r, phi, _ in divs)
+
+
+def _bracketed(divs, c: int, s: int):
+    """(r, phi(r) c (8 - 4s + s psi(r))) for the rows of divs, ascending in r."""
+    return ((r, phi * c * (8 - 4 * s + s * psi)) for r, phi, psi in divs)
+
+
 def nse_table(q: int) -> NseTable:
-    spec = spectrum(q)
-    primes = _order_primes(q)
-    return NseTable(q, group_order(q), {r: _count(q, r, primes) for r in spec})
+    """The count m_r of every element order r, one ascending stream per class.
+
+    Besides 1, 2 and 4, an order is a divisor a > 1 of q-1 or b > 1 of q+1,
+    their double 2a or 2b, a product ab, or a divisor d > 1 of q^2+1.
+    gcd(q-1, q+1) = 1, so phi(ab) = phi(a) phi(b).  Each class constant is
+    formed once; its fractional coefficient is cleared by one exact division.
+    Merging the streams orders the keys without holding a second copy of them.
+    """
+    order = group_order(q)
+    q3, q4, o4 = q**3, q**4, q**4 - 1
+    dm = divisor_phi_psi(q - 1)[1:]
+    dp = divisor_phi_psi(q + 1)[1:]
+    streams = [
+        [(1, 1), (2, (q * q + 1) * o4), (4, q * q * (q * q - 1) * o4)],
+        # 2r with r | q-+1: phi(r) q^3 (q+-1)(q^4-1)
+        _scaled(dm, q3 * (q + 1) * o4, 2),
+        _scaled(dp, q3 * (q - 1) * o4, 2),
+    ]
+    # r | q-+1: phi(r) q^3 (q^2+1)(q+-1) (1 - s/2 + s psi(r)/8) with s = q(q+-1)
+    for divs, t, label in ((dm, q + 1, "r | q-1"), (dp, q - 1, "r | q+1")):
+        streams.append(_bracketed(divs, _exact(q3 * (q * q + 1) * t, 8, label), q * t))
+    # ab: phi(a) phi(b) q^4 (q^4-1)/2; streaming the longer list keeps the heap shallow
+    c = _exact(q4 * o4, 2, "mixed divisor of q^2-1")
+    outer, inner = sorted((dm, dp), key=len)
+    streams += [_scaled(inner, phi * c, a) for a, phi, _ in outer]
+    # r | q^2+1: phi(r) q^4 (q^2-1)^2 / 4
+    c = _exact(q4 * (q * q - 1) ** 2, 4, "r | q^2+1")
+    streams.append(_scaled(divisor_phi_psi(q * q + 1)[1:], c))
+    return NseTable(q, order, dict(merge(*streams)))
 
 
 def nse_set(q: int) -> frozenset[int]:

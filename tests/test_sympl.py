@@ -93,15 +93,24 @@ def test_partition_identity_all_f():
 
 @pytest.mark.parametrize("f", [*range(2, 13), 32])
 def test_m_of_order_equals_nse_table(f):
-    # one order at a time against the whole table
+    # one order at a time against the whole table and the per-order reference
     q = 1 << f
     table = nse_table(q)
-    assert all(m_of_order(q, r) == c for r, c in table.counts.items())
+    primes = reference.order_primes(q)
+    assert all(m_of_order(q, r) == c == reference.m_of_order(q, r, primes)
+               for r, c in table.counts.items())
+
+
+def test_nse_table_equals_per_order_reference():
+    # the class walk against the former per-order dispatcher, key by key and in order
+    for f in range(2, 49):
+        q = 1 << f
+        assert list(nse_table(q).counts.items()) == list(reference.nse_counts(q).items())
 
 
 def test_nse_table_leaves_few_factorize_entries():
-    # phi and psi come from the primes of q-1, q+1 and q^2+1, the only
-    # numbers factored, not from factoring each of the 6,927 orders at f = 48
+    # the divisors of q-1, q+1 and q^2+1 carry phi and psi with them, so these
+    # three are the only numbers factored, not each of the 6,927 orders at f = 48
     factorize.cache_clear()
     spectrum.cache_clear()
     nse_table(1 << 48)
