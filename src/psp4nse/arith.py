@@ -1,6 +1,8 @@
 """Exact integer number theory used throughout the package.
 
-Factorization (trial division backed by a sieve, then Pollard-Brent rho),
+Factorization (trial division by the primes below 10^6, then Pollard-Brent
+rho; past the first 256 primes the division tests each run of 256 primes with
+one gcd against the run's product),
 one divisor walk that gives every divisor of a number with its Euler phi and
 Dedekind psi, prime-power counting, exact cyclotomic values including the
 twisted factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1,
@@ -16,9 +18,10 @@ probabilistic (64 fixed-seed rounds) and documented as such.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -45,6 +48,10 @@ __all__ = [
 ]
 
 _SIEVE_BOUND = 1_000_000
+# factorize divides by the first _RUN sieve primes (through 1619) one at a time,
+# then by each further run of _RUN primes only when the run's product shares a
+# factor with the cofactor: one gcd settles a run that does not divide it
+_RUN = 256
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24 (covers 2^64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_ROUNDS = 64
@@ -52,15 +59,29 @@ _MR_SEED = 0x5CA1AB1E
 
 
 @lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """Primes below 10^6 (sieve of Eratosthenes), computed once."""
+def _small_primes() -> array:
+    """Primes below 10^6, ascending, computed once by a numpy sieve of Eratosthenes.
+
+    Held as array('I'), 4 bytes a prime; its items read as Python ints.
+    """
     n = _SIEVE_BOUND
-    sieve = bytearray([1]) * n
-    sieve[0] = sieve[1] = 0
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n, p)))
-    return tuple(i for i in range(n) if sieve[i])
+            sieve[p * p :: p] = False
+    return array("I", np.flatnonzero(sieve).astype(np.uint32).tobytes())
+
+
+@lru_cache(maxsize=1)
+def _prime_runs() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The first _RUN sieve primes, and (start, product) for each further run of _RUN.
+
+    start indexes _small_primes(); the last run holds the primes left over.
+    """
+    primes = _small_primes()
+    runs = tuple((s, prod(primes[s : s + _RUN])) for s in range(_RUN, len(primes), _RUN))
+    return tuple(primes[:_RUN]), runs
 
 
 def is_prime(n: int) -> bool:
@@ -145,19 +166,46 @@ class Factorization:
 
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
-    """Full factorization of n >= 1; n = 1 gives the empty product."""
+    """Full factorization of n >= 1; n = 1 gives the empty product.
+
+    Trial division by the first _RUN sieve primes settles every n whose
+    cofactor falls below 1621^2.  Past them, each run of _RUN primes is tested
+    with one gcd against its product, and only a run whose gcd exceeds 1 is
+    divided prime by prime.  Division stops at the first prime, or run, whose
+    square exceeds the cofactor, which is then 1 or prime; a cofactor left
+    after the whole sieve goes to Miller-Rabin and Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    primes = _small_primes()
+    head, runs = _prime_runs()
     out: dict[int, int] = {}
     m = n
-    exhausted_sieve = True
-    for p in _small_primes():
+    exhausted_sieve = False
+    for p in head:
         if p * p > m:
-            exhausted_sieve = False
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
+    else:
+        exhausted_sieve = True
+        for start, product in runs:
+            if primes[start] ** 2 > m:
+                exhausted_sieve = False
+                break
+            g = gcd(m, product)
+            if g == 1:
+                continue
+            # g is the product of the run's primes that divide m, each once
+            for p in primes[start : start + _RUN]:
+                if g % p == 0:
+                    g //= p
+                    while m % p == 0:
+                        out[p] = out.get(p, 0) + 1
+                        m //= p
+                    if g == 1:
+                        break
     if m > 1:
         if not exhausted_sieve:
             # trial division reached sqrt(m), so the cofactor is prime
@@ -257,18 +305,31 @@ def prime_power_count(n: int) -> int:
 
 @lru_cache(maxsize=4096)
 def cyclotomic_eval(n: int, x: int) -> int:
-    """Phi_n(x) exactly, by dividing x^n - 1 by the proper-divisor cyclotomics."""
+    """Phi_n(x) exactly, as the Moebius product over squarefree e | n.
+
+    Phi_n(x) = prod (x^(n/e) - 1)^mu(e): the factors with mu(e) = +1 are
+    multiplied into a numerator, those with mu(e) = -1 into a denominator, and
+    one exact division gives the value.  The squarefree divisors are the
+    subsets of factorize(n).primes.
+    """
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
     if x < 2:
         raise ValueError(f"cyclotomic argument must be >= 2, got {x}")
     if n == 1:
         return x - 1
-    value = x**n - 1
-    for d in divisors(n)[:-1]:
-        value, rem = divmod(value, cyclotomic_eval(d, x))
-        if rem:
-            raise ArithmeticError(f"inexact cyclotomic division at n={n}, x={x}")
+    squarefree = [(1, 1)]  # (e, mu(e))
+    for p in factorize(n).primes:
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    numerator = denominator = 1
+    for e, mu in squarefree:
+        if mu > 0:
+            numerator *= x ** (n // e) - 1
+        else:
+            denominator *= x ** (n // e) - 1
+    value, rem = divmod(numerator, denominator)
+    if rem:
+        raise ArithmeticError(f"inexact cyclotomic division at n={n}, x={x}")
     return value
 
 

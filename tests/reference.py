@@ -2,14 +2,24 @@
 
 Each is the textbook definition over the prime factorization, or a former
 package path kept as the second side of a differential test: the spectrum
-from all five moduli, the per-family CSV writer, and the per-order count
-dispatcher with phi and psi by trial division over the order primes.  No
-package module calls them, so they live beside the checks that do.
+from all five moduli, the per-family CSV writer, the per-order count
+dispatcher with phi and psi by trial division over the order primes, trial
+division one sieve prime at a time, the byte-array sieve, and the
+divide-out recursion for cyclotomic values.  No package module calls them,
+so they live beside the checks that do.
 """
 
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
-from psp4nse.arith import divisors, factorize
+from psp4nse.arith import (
+    Factorization,
+    _pollard_brent,
+    _small_primes,
+    divisors,
+    factorize,
+    is_prime,
+)
 from psp4nse.sympl import _exact, spectrum
 
 
@@ -134,3 +144,54 @@ def nse_counts(q: int) -> dict[int, int]:
     """The order -> count map of PSp4(q), one order of the spectrum at a time."""
     primes = order_primes(q)
     return {r: m_of_order(q, r, primes) for r in spectrum(q)}
+
+
+def eratosthenes(n: int) -> list[int]:
+    """The primes below n, from a byte-array sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, n, p)))
+    return [i for i in range(n) if sieve[i]]
+
+
+def factorize_by_each_prime(n: int) -> Factorization:
+    """factorize(n) by trial division one sieve prime at a time up to the
+    cofactor's square root, then Miller-Rabin and Pollard-Brent rho."""
+    out: dict[int, int] = {}
+    m = n
+    exhausted_sieve = True
+    for p in _small_primes():
+        if p * p > m:
+            exhausted_sieve = False
+            break
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        if not exhausted_sieve:
+            out[m] = out.get(m, 0) + 1
+        else:
+            stack = [m]
+            while stack:
+                v = stack.pop()
+                if is_prime(v):
+                    out[v] = out.get(v, 0) + 1
+                else:
+                    d = _pollard_brent(v)
+                    stack.append(d)
+                    stack.append(v // d)
+    return Factorization(tuple(sorted(out.items())))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int, x: int) -> int:
+    """Phi_n(x): x^n - 1 divided exactly by Phi_d(x) for every proper divisor d of n."""
+    if n == 1:
+        return x - 1
+    value = x**n - 1
+    for d in divisors(n)[:-1]:
+        value, rem = divmod(value, cyclotomic_by_division(d, x))
+        assert rem == 0, (n, x, d)
+    return value

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,27 @@ def test_the_package_reads_no_environment():
              for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))
              for line in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))]
     assert reads == []
+
+
+def _outside_imports(tree: ast.Module) -> list[str]:
+    """Top-level names of absolute imports that are neither the standard
+    library, numpy nor the package itself."""
+    allowed = sys.stdlib_module_names | {"numpy", "psp4nse"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        names += [f"{m}:{node.lineno}" for m in modules if m.split(".")[0] not in allowed]
+    return names
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one declared dependency; sympy is often installed but is not one
+    outside = [f"{path.name}:{name}"
+               for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))
+               for name in _outside_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert outside == []

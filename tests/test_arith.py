@@ -28,7 +28,16 @@ from psp4nse.arith import (
     _prime_pi_table,
     _small_primes,
 )
-from reference import coprime_part, dedekind_psi, euler_phi, order_primes, phi_psi
+from reference import (
+    coprime_part,
+    cyclotomic_by_division,
+    dedekind_psi,
+    eratosthenes,
+    euler_phi,
+    factorize_by_each_prime,
+    order_primes,
+    phi_psi,
+)
 
 
 def test_factorize_basics():
@@ -77,6 +86,36 @@ def test_factorize_round_trips_on_cyclotomic_values():
     for d in range(1, 97):
         for n in (2**d - 1, 2**d + 1, cyclotomic_eval(d, 2)):
             _assert_round_trip(n)
+
+
+def test_small_primes_equal_eratosthenes():
+    primes = _small_primes()
+    assert list(primes) == eratosthenes(10**6)
+    assert len(primes) == 78_498 and primes[-1] == 999_983
+    assert all(type(p) is int for p in (primes[0], primes[-1], *primes[255:258]))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(_small_primes()), st.integers(1, 3)),
+                min_size=1, max_size=4))
+def test_factorize_equals_per_prime_reference_on_sieve_products(powers):
+    n = prod(p**e for p, e in powers)
+    assert factorize(n) == factorize_by_each_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    1619**2, 1619 * 1621, 1621**2,  # the end of the per-prime loop and the first run
+    999_979 * 999_983, 999_983**2, 999_983 * 1_000_003,  # the end of the sieve
+])
+def test_factorize_equals_per_prime_reference_on_edges(n):
+    assert factorize(n) == factorize_by_each_prime(n)
+
+
+def test_factorize_equals_per_prime_reference_on_powers_of_two_plus_minus_one():
+    # from k = 97 on, rho alone takes a second or more on some of these
+    for k in range(1, 97):
+        for n in (2**k - 1, 2**k + 1):
+            assert factorize(n) == factorize_by_each_prime(n), n
 
 
 def test_factorize_large_semiprime():
@@ -172,6 +211,12 @@ def test_cyclotomic_values():
     assert cyclotomic_eval(1, 5) == 4
     assert cyclotomic_eval(12, 2) == 13
     assert cyclotomic_eval(9, 2) == 73
+
+
+def test_cyclotomic_equals_divide_out_recursion():
+    for x in (2, 3, 4, 2**26 + 5):
+        for n in range(1, 241):
+            assert cyclotomic_eval(n, x) == cyclotomic_by_division(n, x), (n, x)
 
 
 def test_cyclotomic_divides_power_minus_one():
