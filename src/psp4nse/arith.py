@@ -6,8 +6,9 @@ one gcd against the run's product),
 one divisor walk that gives every divisor of a number with its Euler phi and
 Dedekind psi, prime-power counting, exact cyclotomic values including the
 twisted factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1,
-and the divisibility predicates about q^4(q^4-1)(q^2-1) that the
-characterization pipeline relies on.
+validation of q = 2^f > 2, and the five divisibility predicates about
+q^4(q^4-1)(q^2-1) that `psp4nse selftest` and the acceptance suite check (the
+characterization's case rows evaluate those clauses themselves).
 
 All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
 2^62 in the prime-counting table; nothing here ever goes through floats.
@@ -29,7 +30,6 @@ __all__ = [
     "Factorization",
     "CatalanSolution",
     "DivisibilityCheck",
-    "DivisibilityReport",
     "factorize",
     "divisor_phi_psi",
     "divisors",
@@ -43,6 +43,7 @@ __all__ = [
     "search_catalan",
     "divisibility_predicates",
     "power_of_two_exponent",
+    "validate_q",
     "last_within",
     "nth_root",
 ]
@@ -427,33 +428,17 @@ def search_catalan(bound: int) -> list[CatalanSolution]:
 
 @dataclass(frozen=True)
 class DivisibilityCheck:
-    """Outcome of one division: divisor | dividend, with quotient or remainder."""
+    """Outcome of one division: whether divisor | dividend, and the remainder."""
 
     label: str
     divisor: int
     divides: bool
-    quotient: int | None
     remainder: int
 
     @classmethod
     def of(cls, label: str, dividend: int, divisor: int) -> DivisibilityCheck:
-        """Divide dividend by divisor; the quotient is kept only when exact."""
-        quot, rem = divmod(dividend, divisor)
-        return cls(label, divisor, rem == 0, quot if rem == 0 else None, rem)
-
-
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """The five divisibility clauses about q^4(q^4-1)(q^2-1)."""
-
-    q: int
-    checks: tuple[DivisibilityCheck, ...]
-
-    def check(self, label: str) -> DivisibilityCheck:
-        for c in self.checks:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        rem = dividend % divisor
+        return cls(label, divisor, rem == 0, rem)
 
 
 def power_of_two_exponent(q: int) -> int | None:
@@ -471,8 +456,8 @@ def validate_q(q: int) -> int:
     return f
 
 
-def divisibility_predicates(q: int) -> DivisibilityReport:
-    """Divisibility of the five test values into q^4(q^4-1)(q^2-1), with witnesses.
+def divisibility_predicates(q: int) -> dict[str, DivisibilityCheck]:
+    """Divisibility of the five test values into q^4(q^4-1)(q^2-1), by label "i".."v".
 
     For q = 2^f > 2 the expected pattern: 2q^2+3 and q^4-9 never divide,
     2q^2+1 never divides, and q^2+2 and 3q^2+2 divide only at q = 4.
@@ -486,8 +471,7 @@ def divisibility_predicates(q: int) -> DivisibilityReport:
         ("iv", 3 * q * q + 2),
         ("v", q**4 - 9),
     )
-    checks = tuple(DivisibilityCheck.of(label, dividend, d) for label, d in values)
-    return DivisibilityReport(q, checks)
+    return {label: DivisibilityCheck.of(label, dividend, d) for label, d in values}
 
 
 def last_within(fn, bound: int, lo: int = 1) -> int:

@@ -34,9 +34,10 @@ from .arith import (
     prime_power_count,
     cyclotomic_eval,
     twisted_cyclotomic_eval,
+    validate_q,
 )
 from .primegraph import separation_check
-from .sympl import _exact, group_order, nse_table, validate_q
+from .sympl import _exact, group_order, nse_table
 
 __all__ = [
     "AmcSets",

@@ -80,8 +80,13 @@ def _nse_value(v) -> int:
     return value
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: Path | str | None, obj) -> None:
+    """Write obj as indented JSON to path, or to stdout when path is empty."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -107,8 +112,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     graph = primegraph.build_graph(set(spec), table.order)
     _write_json(out / f"prime_graph_q{q}.json", primegraph.graph_json(graph))
 
-    json.dump(nse_obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(None, nse_obj)
     print(f"wrote nse, classes, spectrum, prime graph for q={q} to {out}", file=sys.stderr)
     return 0
 
@@ -190,12 +194,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         raise ValueError("nse file must be a JSON array or an nse-table object")
     nse = {_nse_value(v) for v in values}
     verdict = characterize(order, nse)
-    payload = verdict_json(verdict)
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(args.out, verdict_json(verdict))
     print(f"outcome: {verdict.outcome}" + (f" (q={verdict.q})" if verdict.q else ""),
           file=sys.stderr)
     return 0
@@ -203,16 +202,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_catalan(args: argparse.Namespace) -> int:
     sols = search_catalan(args.bound)
-    payload = [
+    _write_json(args.out, [
         {"p": str(s.p), "q": str(s.q), "m": s.m, "n": s.n, "kind": s.kind,
          "value": str(s.value)}
         for s in sols
-    ]
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    ])
     return 0
 
 
@@ -251,10 +245,8 @@ def _cmd_selftest() -> int:
     checks = []
     for q in (4, 8):
         checks.extend(_selftest_checks(q))
-    pattern_ok = all(
-        [not divisibility_predicates(1 << f).check("i").divides for f in range(2, 9)]
-        + [divisibility_predicates(1 << f).check("ii").divides == (f == 2) for f in range(2, 9)]
-    )
+    reports = [(f, divisibility_predicates(1 << f)) for f in range(2, 9)]
+    pattern_ok = all(not rep["i"].divides and rep["ii"].divides == (f == 2) for f, rep in reports)
     checks.append(("divisibility predicates match the stated exceptional q", pattern_ok))
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
@@ -278,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

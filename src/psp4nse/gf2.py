@@ -37,7 +37,7 @@ def _is_irreducible(poly: int, f: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def lexicographic_modulus(f: int) -> int:
     """Smallest irreducible degree-f polynomial over GF(2), as a bitmask."""
     if f < 1:

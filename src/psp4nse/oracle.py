@@ -39,8 +39,9 @@ from math import lcm
 
 import numpy as np
 
+from .arith import validate_q
 from .gf2 import FieldSpec, find_generator
-from .sympl import group_order, validate_q
+from .sympl import group_order
 
 __all__ = [
     "CapacityExceeded",

@@ -27,12 +27,10 @@ __all__ = [
     "ClassTable",
     "NseTable",
     "CLASS_FAMILIES",
-    "validate_q",
     "group_order",
     "spectrum",
     "class_table",
     "family_class_count",
-    "m_of_order",
     "nse_table",
     "nse_set",
     "nse_table_json",
@@ -220,14 +218,6 @@ def _exact(num: int, den: int, context: str) -> int:
     if rem:
         raise ArithmeticError(f"non-integral count in {context}: {num}/{den}")
     return quot
-
-
-def m_of_order(q: int, r: int) -> int:
-    """Exact number of elements of order r in PSp4(q)."""
-    counts = nse_table(q).counts
-    if r not in counts:
-        raise ValueError(f"{r} is not an element order of PSp4({q})")
-    return counts[r]
 
 
 @dataclass(frozen=True)

@@ -85,18 +85,54 @@ def _references(node: ast.AST, enclosing: frozenset = frozenset()) -> set[str]:
 
 
 def test_every_exported_function_is_used_outside_the_tests():
-    # perfbench is only read here; a name only tests call belongs in tests/reference.py
+    # perfbench is only read here; a name only tests call belongs in tests/reference.py.
+    # Of the README only the library example counts: prose naming a function is no use of it.
     sources = sorted((ROOT / "src" / "psp4nse").glob("*.py")) + sorted(
         (ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    used = set().union(*(_references(tree) for tree in trees.values()))
-    readme = README.read_text(encoding="utf-8")
+    used = set().union(*(_references(tree) for tree in trees.values()),
+                       _references(ast.parse(_library_example())))
     # a method counts as used when its name is: references are not resolved to classes
     unused = [f"{path.stem}.{name}" for path, tree in trees.items() if path.parent.name == "psp4nse"
               for name in _exported_functions(tree)
-              if (leaf := name.rsplit(".", 1)[-1]) not in used
-              and not re.search(rf"\b{leaf}\b", readme)]
+              if name.rsplit(".", 1)[-1] not in used]
     assert unused == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment (not by import)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "psp4nse"])
+def test_every_exported_name_has_one_home(name):
+    # a submodule exports only what it defines; re-exporting is the package root's job
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    assert sorted(set(module.__all__) - _defined_names(tree)) == []
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of decorators that cache without a bound: functools.cache or
+    lru_cache(maxsize=None), also spelled lru_cache(None)."""
+    unbounded = re.compile(r"(functools\.)?(cache|lru_cache\((maxsize=)?None\))")
+    return [dec.lineno for node in ast.walk(tree)
+            for dec in getattr(node, "decorator_list", ())
+            if unbounded.fullmatch(ast.unparse(dec))]
+
+
+def test_every_cache_has_a_cap():
+    unbounded = [f"{path.name}:{line}"
+                 for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))
+                 for line in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unbounded == []
 
 
 def _environment_reads(tree: ast.Module) -> list[int]:

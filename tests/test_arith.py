@@ -334,10 +334,11 @@ def test_search_catalan_million():
 
 def test_divisibility_predicates_witnesses():
     rep4 = divisibility_predicates(4)
-    assert rep4.check("iv").divides and rep4.check("iv").quotient == 19584
-    assert not rep4.check("i").divides and rep4.check("i").remainder == 5
+    # 3q^2+2 = 50 divides |Sp4(4)| = 979200 = 50 * 19584
+    assert rep4["iv"].divisor == 50 and rep4["iv"].divides and rep4["iv"].remainder == 0
+    assert not rep4["i"].divides and rep4["i"].remainder == 5
     rep8 = divisibility_predicates(8)
-    assert not rep8.check("ii").divides
+    assert not rep8["ii"].divides
     with pytest.raises(ValueError):
         divisibility_predicates(2)
     with pytest.raises(ValueError):
@@ -348,11 +349,11 @@ def test_divisibility_predicates_pattern():
     # q^2+2 and 3q^2+2 divide only at q = 4; the others never divide (q > 2)
     for f in range(2, 11):
         rep = divisibility_predicates(1 << f)
-        assert not rep.check("i").divides
-        assert rep.check("ii").divides == (f == 2)
-        assert not rep.check("iii").divides
-        assert rep.check("iv").divides == (f == 2)
-        assert not rep.check("v").divides
+        assert not rep["i"].divides
+        assert rep["ii"].divides == (f == 2)
+        assert not rep["iii"].divides
+        assert rep["iv"].divides == (f == 2)
+        assert not rep["v"].divides
 
 
 def test_misc_helpers():
