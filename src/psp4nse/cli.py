@@ -109,8 +109,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         "spectrum": [str(r) for r in spec],
     })
 
-    graph = primegraph.build_graph(set(spec), table.order)
-    _write_json(out / f"prime_graph_q{q}.json", primegraph.graph_json(graph))
+    _write_json(out / f"prime_graph_q{q}.json", primegraph.graph_json(primegraph.prime_graph(q)))
 
     _write_json(None, nse_obj)
     print(f"wrote nse, classes, spectrum, prime graph for q={q} to {out}", file=sys.stderr)
@@ -225,8 +224,8 @@ def _selftest_checks(q: int):
         for famname in sympl.CLASS_FAMILIES
     )
     yield (f"q={q} class counts match the count polynomials", counts_ok)
-    graph = primegraph.build_graph(set(sympl.spectrum(q)), sympl.group_order(q))
-    yield (f"q={q} prime graph has two components", len(graph.components) == 2)
+    yield (f"q={q} prime graph has two components",
+           len(primegraph.prime_graph(q).components) == 2)
     yield (f"q={q} odd/even prime sets separated", primegraph.separation_check(q))
     verdict = characterize(sympl.group_order(q), sympl.nse_set(q))
     yield (f"q={q} characterize returns Isomorphic", verdict.outcome == OUTCOME_ISOMORPHIC)

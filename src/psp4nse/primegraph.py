@@ -3,7 +3,9 @@
 Vertices are the primes dividing the group order; two primes are adjacent
 exactly when their product divides some element order.  Each connected
 component picks up the full prime-power part of the order for its primes,
-giving the order components whose product is the group order.
+giving the order components whose product is the group order.  In a
+divisor-closed spectrum two primes are adjacent exactly when their product
+divides a maximal element order, so PSp4(q)'s graph is built from those.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import factorize, is_prime, prime_divisors
-from .sympl import group_order, spectrum
+from .sympl import group_order
 
-__all__ = ["PrimeGraph", "build_graph", "separation_check", "graph_json"]
+__all__ = ["PrimeGraph", "build_graph", "prime_graph", "separation_check", "graph_json"]
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,16 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     return PrimeGraph(vertices, tuple(sorted(edges)), tuple(comps), tuple(oc))
 
 
+def prime_graph(q: int) -> PrimeGraph:
+    """The prime graph of PSp4(q) from the maximal element orders 4, 2(q-+1),
+    q^2-1 and q^2+1 (Vasil'ev and Vdovin, Algebra and Logic 44, 2005).  1 is
+    required by build_graph; with 2 known first, 4 is never factored."""
+    return build_graph({1, 2, 4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1}, group_order(q))
+
+
 def separation_check(q: int) -> bool:
     """True iff pi(q^2+1) and pi(2(q^2-1)) fall in distinct components for PSp4(q)."""
-    graph = build_graph(set(spectrum(q)), group_order(q))
+    graph = prime_graph(q)
     odd_side = {graph.component_of(p) for p in prime_divisors(q * q + 1)}
     # pi(2(q^2-1)) = {2} u pi(q-1) u pi(q+1)
     even = (2, *prime_divisors(q - 1), *prime_divisors(q + 1))

@@ -3,14 +3,16 @@
 For even q the center of Sp4(q) is trivial, so PSp4(q) = Sp4(q) and the group
 order is q^4(q^4-1)(q^2-1).  This module carries the parameterized conjugacy
 class table (families A1..A42, B1..B5, C1..C4, D1..D4 in Enomoto's labeling),
-the element-order spectrum, the exact same-order counts m_r, and their
-serializations.  Everything is exact integer arithmetic; the fractional
-coefficients in the count formulas are cleared into one division that is
-asserted exact.
+and one description of the element orders in nine classes, each with its
+constant and its divisor rows.  The spectrum, the keyed same-order counts m_r
+(nse_table), their value set (nse_set, without the keyed map) and the
+characterization's A-sets all read it.  Everything is exact integer
+arithmetic; each fractional coefficient is cleared by one exact division.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisor_phi_psi, divisors, validate_q
+from .arith import divisor_phi_psi, validate_q
 
 __all__ = [
     "ClassDescriptor",
@@ -53,17 +55,14 @@ def group_order(q: int) -> int:
 
 @lru_cache(maxsize=64)
 def spectrum(q: int) -> tuple[int, ...]:
-    """Element orders of PSp4(q): every divisor of 4, 2(q-1), 2(q+1), q^2-1, q^2+1.
+    """Element orders of PSp4(q), ascending: the orders of the classes in _order_classes(q).
 
-    Only q-1, q+1 and q^2+1 are factored.  They are odd and gcd(q-1, q+1) = 1,
-    so the divisors of 2(q+-1) are those of q+-1 and their doubles, and those
-    of q^2-1 are the products ab with a | q-1 and b | q+1.
+    They are the divisors of 4, 2(q-1), 2(q+1), q^2-1 and q^2+1, and only q-1,
+    q+1 and q^2+1 are factored.  The classes are disjoint, so no order repeats.
     """
     validate_q(q)
-    dm, dp = divisors(q - 1), divisors(q + 1)
-    out = {1, 2, 4, *(2 * d for d in dm + dp), *(a * b for a in dm for b in dp),
-           *divisors(q * q + 1)}
-    return tuple(sorted(out))
+    return tuple(sorted(k * d for cls in _order_classes(q) for k, _ in cls.scales
+                        for d in cls.orders))
 
 
 @dataclass(frozen=True)
@@ -232,51 +231,82 @@ class NseTable:
         return frozenset(self.counts.values())
 
 
-def _scaled(divs, c: int, k: int = 1):
-    """(k r, phi(r) c) for the rows (r, phi(r), psi(r)) of divs, ascending in r."""
-    return ((k * r, phi * c) for r, phi, _ in divs)
+class _OrderClass(NamedTuple):
+    """One class of element orders of PSp4(q): the orders k d, counted
+    m_kd = u c w, for (k, u) in scales and d ascending in orders with weight w."""
+
+    scales: tuple[tuple[int, int], ...]
+    orders: list[int]
+    weights: list[int]
+    c: int
+
+    def streams(self) -> list:
+        """(order, count) pairs ascending in order, one stream per scale."""
+        return [zip(map(k.__mul__, self.orders), map((u * self.c).__mul__, self.weights))
+                for k, u in self.scales]
+
+    def values(self) -> frozenset[int]:
+        """The distinct counts: each distinct u c times each distinct weight."""
+        weights = set(self.weights)
+        return frozenset(uc * w for uc in {u * self.c for _, u in self.scales} for w in weights)
+
+    def count_at(self, r: int) -> int:
+        """m_r for an order r of a class with one scale (k, u): u c times the weight of r / k."""
+        (k, u), = self.scales
+        return u * self.c * self.weights[bisect_left(self.orders, r // k)]
 
 
-def _bracketed(divs, c: int, s: int):
-    """(r, phi(r) c (8 - 4s + s psi(r))) for the rows of divs, ascending in r."""
-    return ((r, phi * c * (8 - 4 * s + s * psi)) for r, phi, psi in divs)
+def _order_classes(q: int) -> tuple[_OrderClass, ...]:
+    """The element orders of PSp4(q) in nine classes, in the order of the A-sets A1..A9.
+
+    Besides 1, 2 and 4, an order is a divisor r > 1 of q-1 or of q+1, its
+    double 2r, a product ab of such divisors a | q-1 and b | q+1, or a divisor
+    r > 1 of q^2+1.  A weight is phi(r), or phi(r) times a bracket in psi(r);
+    gcd(q-1, q+1) = 1, so phi(ab) = phi(a) phi(b).  Each class constant is
+    formed once; its fractional coefficient is cleared by one exact division.
+    """
+    q2, q3, q4, o4 = q * q, q**3, q**4, q**4 - 1
+    dm, dp = divisor_phi_psi(q - 1)[1:], divisor_phi_psi(q + 1)[1:]
+    (om, phim), (op, phip), (o2p, phi2p) = (
+        ([d for d, _, _ in rows], [phi for _, phi, _ in rows])
+        for rows in (dm, dp, divisor_phi_psi(q2 + 1)[1:]))
+
+    def bracketed(rows, orders, t, label):
+        # phi(r) q^3 (q^2+1)(q+-1) (1 - s/2 + s psi(r)/8) with s = q(q+-1)
+        s = q * t
+        weights = [phi * (8 - 4 * s + s * psi) for _, phi, psi in rows]
+        return _OrderClass(((1, 1),), orders, weights, _exact(q3 * (q2 + 1) * t, 8, label))
+
+    # ab: u = phi(a) over the shorter divisor list, so nse_table merges fewer streams
+    (outer, phi_outer), inner = sorted(((om, phim), (op, phip)), key=lambda col: len(col[0]))
+    return (
+        _OrderClass(((1, 1),), [1], [1], 1),
+        _OrderClass(((2, 1),), [1], [1], (q2 + 1) * o4),
+        _OrderClass(((4, 1),), [1], [1], q2 * (q2 - 1) * o4),
+        bracketed(dm, om, q + 1, "r | q-1"),
+        bracketed(dp, op, q - 1, "r | q+1"),
+        # 2r with r | q-+1: phi(r) q^3 (q+-1)(q^4-1)
+        _OrderClass(((2, 1),), om, phim, q3 * (q + 1) * o4),
+        _OrderClass(((2, 1),), op, phip, q3 * (q - 1) * o4),
+        # ab: phi(a) phi(b) q^4 (q^4-1)/2
+        _OrderClass(tuple(zip(outer, phi_outer)), *inner, _exact(q4 * o4, 2, "mixed divisor of q^2-1")),
+        # r | q^2+1: phi(r) q^4 (q^2-1)^2 / 4
+        _OrderClass(((1, 1),), o2p, phi2p, _exact(q4 * (q2 - 1) ** 2, 4, "r | q^2+1")),
+    )
 
 
 def nse_table(q: int) -> NseTable:
-    """The count m_r of every element order r, one ascending stream per class.
-
-    Besides 1, 2 and 4, an order is a divisor a > 1 of q-1 or b > 1 of q+1,
-    their double 2a or 2b, a product ab, or a divisor d > 1 of q^2+1.
-    gcd(q-1, q+1) = 1, so phi(ab) = phi(a) phi(b).  Each class constant is
-    formed once; its fractional coefficient is cleared by one exact division.
-    Merging the streams orders the keys without holding a second copy of them.
-    """
+    """The count m_r of every element order r: the ascending streams of
+    _order_classes(q), merged without holding a second copy of the keys."""
     order = group_order(q)
-    q3, q4, o4 = q**3, q**4, q**4 - 1
-    dm = divisor_phi_psi(q - 1)[1:]
-    dp = divisor_phi_psi(q + 1)[1:]
-    streams = [
-        [(1, 1), (2, (q * q + 1) * o4), (4, q * q * (q * q - 1) * o4)],
-        # 2r with r | q-+1: phi(r) q^3 (q+-1)(q^4-1)
-        _scaled(dm, q3 * (q + 1) * o4, 2),
-        _scaled(dp, q3 * (q - 1) * o4, 2),
-    ]
-    # r | q-+1: phi(r) q^3 (q^2+1)(q+-1) (1 - s/2 + s psi(r)/8) with s = q(q+-1)
-    for divs, t, label in ((dm, q + 1, "r | q-1"), (dp, q - 1, "r | q+1")):
-        streams.append(_bracketed(divs, _exact(q3 * (q * q + 1) * t, 8, label), q * t))
-    # ab: phi(a) phi(b) q^4 (q^4-1)/2; streaming the longer list keeps the heap shallow
-    c = _exact(q4 * o4, 2, "mixed divisor of q^2-1")
-    outer, inner = sorted((dm, dp), key=len)
-    streams += [_scaled(inner, phi * c, a) for a, phi, _ in outer]
-    # r | q^2+1: phi(r) q^4 (q^2-1)^2 / 4
-    c = _exact(q4 * (q * q - 1) ** 2, 4, "r | q^2+1")
-    streams.append(_scaled(divisor_phi_psi(q * q + 1)[1:], c))
-    return NseTable(q, order, dict(merge(*streams)))
+    return NseTable(q, order, dict(merge(*(s for cls in _order_classes(q) for s in cls.streams()))))
 
 
 def nse_set(q: int) -> frozenset[int]:
-    """The set of same-order counts of PSp4(q) (the values of the nse table)."""
-    return nse_table(q).value_set()
+    """The set of same-order counts of PSp4(q): the union of each class's
+    distinct counts, with no order -> count map built."""
+    validate_q(q)
+    return frozenset().union(*(cls.values() for cls in _order_classes(q)))
 
 
 def nse_table_json(table: NseTable) -> dict:

@@ -15,10 +15,13 @@ from math import gcd, isqrt
 from psp4nse.arith import (
     Factorization,
     _pollard_brent,
+    _prime_pi_table,
     _small_primes,
+    divisor_phi_psi,
     divisors,
     factorize,
     is_prime,
+    nth_root,
 )
 from psp4nse.sympl import _exact, spectrum
 
@@ -144,6 +147,48 @@ def nse_counts(q: int) -> dict[int, int]:
     """The order -> count map of PSp4(q), one order of the spectrum at a time."""
     primes = order_primes(q)
     return {r: m_of_order(q, r, primes) for r in spectrum(q)}
+
+
+def a_sets(q: int) -> tuple[frozenset[int], ...]:
+    """The candidate same-order-count sets A1..A9 of PSp4(q), each clause
+    restating its count formula with one exact division."""
+    q3, q4 = q**3, q**4
+    o4 = q4 - 1
+    # A4 and A6 read the divisors of q-1, A5 and A7 those of q+1
+    qm = divisor_phi_psi(q - 1)[1:]
+    qp = divisor_phi_psi(q + 1)[1:]
+    # phi(r) q^3 (q^2+1)(q+-1) (1 - q(q+-1)/2 + q(q+-1)/8 psi(r)), bracket times 8
+    a4 = frozenset(
+        _exact(phi * q3 * (q * q + 1) * (q + 1) * (8 - 4 * q * (q + 1) + q * (q + 1) * psi), 8, "A4")
+        for _, phi, psi in qm
+    )
+    a5 = frozenset(
+        _exact(phi * q3 * (q * q + 1) * (q - 1) * (8 - 4 * q * (q - 1) + q * (q - 1) * psi), 8, "A5")
+        for _, phi, psi in qp
+    )
+    phi_m = {phi for _, phi, _ in qm}
+    phi_p = {phi for _, phi, _ in qp}
+    return (
+        frozenset({1}),
+        frozenset({(q * q + 1) * o4}),
+        frozenset({q * q * (q * q - 1) * o4}),
+        a4,
+        a5,
+        frozenset(phi * q3 * (q + 1) * o4 for phi in phi_m),
+        frozenset(phi * q3 * (q - 1) * o4 for phi in phi_p),
+        # gcd(q-1, q+1) = 1, so phi(rs) = phi(r) phi(s)
+        frozenset(_exact(a * b * q4 * o4, 2, "A8") for a in phi_m for b in phi_p),
+        frozenset(
+            _exact(phi * q4 * (q * q - 1) ** 2, 4, "A9") for _, phi, _ in divisor_phi_psi(q * q + 1)[1:]
+        ),
+    )
+
+
+def prime_power_count_by_table(n: int) -> int:
+    """The number of prime powers in 2..n, every pi read from the
+    Lucy_Hedgehog table of n (1 <= n < 2^62)."""
+    small, large = _prime_pi_table(n)
+    return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))
 
 
 def eratosthenes(n: int) -> list[int]:

@@ -37,6 +37,7 @@ from reference import (
     factorize_by_each_prime,
     order_primes,
     phi_psi,
+    prime_power_count_by_table,
 )
 
 
@@ -423,3 +424,24 @@ def test_prime_power_count():
         assert prime_power_count(n) == by_sieve
     with pytest.raises(ValueError, match="2\\^62"):
         prime_power_count(1 << 62)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**6 - 1))
+def test_prime_power_count_by_sieve_equals_the_table(n):
+    # below 10^6 prime_power_count bisects the sieve; the reference reads only
+    # the Lucy_Hedgehog table
+    assert prime_power_count(n) == prime_power_count_by_table(n)
+
+
+def test_prime_power_count_across_the_sieve_bound():
+    # 10^6 - 1 is counted from the sieve, 10^6 and 10^6 + 1 from the table;
+    # neither 10^6 nor 10^6 + 1 = 101 * 9901 is a prime power
+    counts = [prime_power_count(n) for n in (10**6 - 1, 10**6, 10**6 + 1)]
+    assert counts == [78_734] * 3
+    assert counts[0] == prime_power_count_by_table(10**6 - 1)
+
+
+def test_prime_pi_table_published_values():
+    assert int(_prime_pi_table(10**7)[1][1]) == 664_579
+    assert int(_prime_pi_table(10**8)[1][1]) == 5_761_455

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from psp4nse import arith
-from psp4nse.arith import cyclotomic_eval, is_prime_power
+from psp4nse.arith import cyclotomic_eval, is_prime_power, prime_divisors
 from psp4nse.characterize import (
     CONFIRMING,
     ELIMINATED,
@@ -40,7 +41,7 @@ from psp4nse.families import (
     order_G2,
 )
 from psp4nse.primegraph import build_graph, separation_check
-from psp4nse.sympl import group_order, nse_set, nse_table, spectrum
+from psp4nse.sympl import _order_classes, group_order, nse_set, nse_table, spectrum
 
 
 def test_build_a_sets_q4():
@@ -101,6 +102,58 @@ def test_only_q_minus_1_q_plus_1_and_q2_plus_1_are_factored(monkeypatch):
     assert table.counts[q * q - 1] > 0
     graph = build_graph(set(spectrum(q)), group_order(q))
     assert graph.order_components[-1] == q * q + 1
+
+
+@pytest.mark.parametrize("f", [*range(2, 49), 61])
+def test_a_sets_equal_the_clause_by_clause_reference(f):
+    # the A-sets read the order classes that nse_table and nse_set read; the
+    # reference restates each clause's formula, so this is the cross-check
+    q = 1 << f
+    assert tuple(build_A_sets(q)) == reference.a_sets(q)
+
+
+@pytest.mark.parametrize("f", range(2, 49))
+def test_description_reads_equal_the_keyed_table(f):
+    q = 1 << f
+    table = nse_table(q)
+    assert nse_set(q) == table.value_set()
+    for cls in _order_classes(q):
+        if len(cls.scales) == 1:
+            k = cls.scales[0][0]
+            assert all(cls.count_at(k * d) == table.counts[k * d] for d in cls.orders)
+
+
+@pytest.mark.parametrize("f", [32, 40, 48])
+def test_prime_count_checks_read_the_keyed_counts(f):
+    # the verdict goldens pin these values for f <= 26
+    q = 1 << f
+    counts = nse_table(q).counts
+    checks = characterize(group_order(q), nse_set(q)).trace.prime_count_checks
+    primes = {2, *prime_divisors(q - 1), *prime_divisors(q + 1), *prime_divisors(q * q + 1)}
+    assert sorted(c.r for c in checks) == sorted(primes)
+    assert all(c.value == counts[c.r] and c.ok for c in checks)
+
+
+def test_characterize_never_builds_the_keyed_table(monkeypatch, goldens):
+    def refuse(q):
+        raise AssertionError(f"nse_table({q}) called")
+
+    # every package module that binds the name, sympl always
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("psp4nse") and getattr(mod, "nse_table", None) is nse_table]
+    assert sys.modules["psp4nse.sympl"] in modules
+    for mod in modules:
+        monkeypatch.setattr(mod, "nse_table", refuse)
+    build_A_sets.cache_clear()
+    for f in range(2, 27):
+        q = 1 << f
+        text = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == goldens[f"verdict/f{f}"]
+    verdict = characterize(979200, {1, 2, 3})
+    assert (verdict.outcome, verdict.reason) == (
+        OUTCOME_HYPOTHESES_NOT_MET,
+        "nse set differs from nse(PSp4(4)): missing [4335, 10880, 52224], unexpected [2, 3]",
+    )
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
@@ -343,7 +396,7 @@ def test_verdict_json_negative():
 
 
 def test_counts_match_m_of_order():
-    # build_A_sets restates the formulas; they must agree with the nse table
+    # the A-sets and the nse table read one description of the order classes
     for q in (4, 8, 16):
         a = build_A_sets(q)
         counts = nse_table(q).counts

@@ -1,7 +1,13 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +230,39 @@ def test_oracle_refuses_bad_q_before_any_file(tmp_path, capsys, q, code, message
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# runs its argv as one child and reports the child's exit status and peak RSS
+# (KiB); a runner of its own keeps RUSAGE_CHILDREN to that one child
+_PEAK_RSS_RUNNER = """
+import resource, subprocess, sys
+child = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE)
+sys.stdout.buffer.write(child.stdout)
+print(child.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_negative_verdict_at_f90_is_small_and_fast(tmp_path):
+    # the nse set is compared before any per-order structure is built: at
+    # q = 2^90 the spectrum has 6,297,343 orders but only 101,919 distinct counts
+    q = 1 << 90
+    nse_file = tmp_path / "nse.json"
+    nse_file.write_text("[1, 2, 3]", encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-c", "import sys; from psp4nse.cli import main; sys.exit(main())",
+            "characterize", "--order", str(group_order(q)), "--nse-file", str(nse_file)]
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUNNER, *argv], env=env,
+                         capture_output=True, timeout=60)
+    wall = time.monotonic() - start
+    status, peak_kib = map(int, run.stderr.split()[-2:])
+    assert status == 0
+    assert len(run.stdout) == 1030
+    assert hashlib.sha256(run.stdout).hexdigest() == \
+        "787c302955f259b10ddbf2c18fc129b87be7e6dcd5f05f90244c6f0a37f986f9"
+    assert wall < 10
+    assert peak_kib < 200 * 1024
 
 
 def test_selftest(capsys):

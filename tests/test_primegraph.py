@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from psp4nse.arith import divisors, factorize, prime_divisors
 from psp4nse import arith, primegraph
-from psp4nse.primegraph import build_graph, graph_json, separation_check
+from psp4nse.primegraph import build_graph, graph_json, prime_graph, separation_check
 from psp4nse.sympl import group_order, spectrum
 from reference import component_count
 
@@ -90,6 +90,13 @@ def test_graph_matches_recorded_digest(f, goldens):
     q = 1 << f
     text = json.dumps(graph_json(build_graph(set(spectrum(q)), group_order(q))), indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == goldens[f"graph/f{f}"]
+
+
+@pytest.mark.parametrize("f", range(2, 49))
+def test_prime_graph_equals_the_full_spectrum_graph(f):
+    # p ~ p' exactly when pp' divides a maximal element order
+    q = 1 << f
+    assert graph_json(prime_graph(q)) == graph_json(build_graph(set(spectrum(q)), group_order(q)))
 
 
 def _graph_by_factoring_members(spec_orders, order):
