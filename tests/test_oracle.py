@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from psp4nse.oracle import (
     _keys,
     _kmul,
     _row0,
+    _scaled_rows,
     _search,
     enumerate_group,
     order_histogram,
@@ -29,7 +31,7 @@ from psp4nse.oracle import (
     z3_times_z7_z4,
     z4_times_z7_z3,
 )
-from psp4nse.sympl import nse_table
+from psp4nse.sympl import class_table, nse_table
 from reference import coprime_part
 
 
@@ -191,6 +193,24 @@ def test_byte_table_products_match_kmul_and_scalar_mul(q, data):
         want = [m.mul(g).packed() for m in mats]
         assert row.tolist() == want
         assert _kmul(spec, keys, np.uint64(g.packed())).tolist() == want
+
+
+@pytest.mark.parametrize("f", [2, 3, 4])
+def test_scaled_rows_match_field_mul_in_every_slot(f):
+    # key i holds the entry value (i + slot) mod q in each of the 16 slots, so
+    # every value meets every slot
+    spec = FieldSpec.for_degree(f)
+    q = spec.order
+    entries = (np.arange(q)[:, None] + np.arange(16)) % q
+    keys = _pack(spec, entries.astype(np.uint64))
+    scaled = _scaled_rows(spec, keys)
+    assert scaled.shape == (4 * f, q)
+    for k in range(4):
+        for t in range(f):
+            got = _unpack(spec, scaled[k * f + t])
+            assert not got[:, :12].any()  # the row lies in the low 4f bits
+            want = [[spec.mul(1 << t, e) for e in row[4 * k : 4 * k + 4]] for row in entries.tolist()]
+            assert got[:, 12:].tolist() == want
 
 
 _SMALL_CAP = 400
@@ -466,24 +486,26 @@ def test_sp44_orders_of_a_sample_match_their_own_chains(sp44):
 
 def test_sp44_histogram_work_counts(sp44, sp44_hist, monkeypatch):
     # chains that look up every power, not only the generators of <g>, took
-    # 1,932,004 products and 2,182,720 sorted lookups
+    # 1,932,004 products and 2,182,720 sorted lookups; looking up every power
+    # that two chains of one batch both mark took 858,510.  The chains call the
+    # product kernel _smul directly, so the products are counted there.
     rows, needles = [0], [0]
-    kmul, searchsorted = oracle._kmul, np.searchsorted
+    smul, searchsorted = oracle._smul, np.searchsorted
 
-    def counted_kmul(spec, a, b):
+    def counted_smul(spec, a, scaled):
         rows[0] += len(a)
-        return kmul(spec, a, b)
+        return smul(spec, a, scaled)
 
     def counted_searchsorted(a, v, *args, **kwargs):
         needles[0] += np.size(v)
         return searchsorted(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_kmul", counted_kmul)
+    monkeypatch.setattr(oracle, "_smul", counted_smul)
     monkeypatch.setattr(np, "searchsorted", counted_searchsorted)
     hist = order_histogram(EnumeratedGroup(sp44.spec, sp44.keys))
     assert hist.counts == sp44_hist.counts
-    assert needles[0] < 1_000_000
-    assert rows[0] < 2_100_000
+    assert needles[0] < 800_000
+    assert 0 < rows[0] < 2_100_000
 
 
 @settings(max_examples=60)
@@ -521,6 +543,52 @@ def test_sp44_full_enumeration(sp44):
     assert _all_symplectic(sp44)
     gens = sp4_generators(4)
     assert all(g in sp44 for g in gens)
+
+
+def _conjugation_permutations(group, gens):
+    """P[j][x] = the position of gens[j]^-1 * keys[x] * gens[j] among the keys."""
+    spec, keys = group.spec, group.keys
+    right = _byte_tables(spec, _keys(spec, gens))
+    # x -> m * x is GF(2)-linear in the key bits too: the byte-table product with
+    # its operands swapped
+    shifts = np.uint64(8) * np.arange(2 * spec.f, dtype=np.uint64)
+    byte_keys = (np.arange(256, dtype=np.uint64) << shifts[:, None]).reshape(-1)
+    inverses = _keys(spec, [g.inverse() for g in gens])
+    left = _kmul(spec, inverses[:, None], byte_keys).reshape(right.shape)
+    perms = []
+    for j in range(len(gens)):
+        moved = _generator_products(left[j : j + 1], keys)[0]
+        conj = _generator_products(right[j : j + 1], moved)[0]
+        pos = np.searchsorted(keys, conj)
+        assert np.array_equal(keys[np.minimum(pos, len(keys) - 1)], conj)
+        perms.append(pos.astype(np.int32))
+    return perms
+
+
+def _orbit_labels(perms, n):
+    """The least position in each position's orbit under the permutations."""
+    label = np.arange(n, dtype=np.int32)
+    while True:
+        new = label.copy()
+        for p in perms:
+            np.minimum(new, label[p], out=new)
+        new = new[new]  # pointer jumping: the label's own label is no larger
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def test_sp44_conjugacy_classes_match_the_class_table(sp44):
+    # the classes by brute force: orbits of the group acting on itself by
+    # conjugation with its 8 generators
+    labels = _orbit_labels(_conjugation_permutations(sp44, sp4_generators(4)), len(sp44))
+    orders = _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+    reps, sizes = np.unique(labels, return_counts=True)
+    assert np.array_equal(orders, orders[labels])  # conjugates have one order
+    found = Counter(zip(sizes.tolist(), orders[reps].tolist()))
+    table = class_table(4)
+    assert len(reps) == len(table) == 27
+    assert found == Counter((row.class_length, row.rep_order) for row in table)
 
 
 def test_sp44_histogram_matches_closed_form(sp44_hist):
