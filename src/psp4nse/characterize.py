@@ -37,7 +37,7 @@ from .arith import (
     validate_q,
 )
 from .primegraph import separation_check
-from .sympl import _order_classes, group_order, nse_set
+from .sympl import _order_classes, group_order
 
 __all__ = [
     "AmcSets",
@@ -269,10 +269,11 @@ def _fmt_params(params) -> str:
 # the case table
 
 class _G(NamedTuple):
-    """What a case reads of the group: q and |G|."""
+    """What a case reads of the group: q, |G| and the A-sets, if the caller has them."""
 
     q: int
     go: int
+    a_sets: AmcSets | None = None
 
     @property
     def n2(self) -> int:  # the odd order component q^2+1
@@ -517,7 +518,7 @@ def _psl2_q2p1_kill(g, n2):
     if g.go % o:
         return ELIMINATED, f"|PSL2({n2})| = {o} does not divide |G|", AN_ORDER_DIV
     hbound = g.go // o
-    a = build_A_sets(g.q)
+    a = g.a_sets or build_A_sets(g.q)
     amin = min(a.a4 | a.a5)
     if amin > hbound:
         return ELIMINATED, f"min(A4 u A5) = {amin} > {hbound} >= |H|"
@@ -869,15 +870,16 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     if q is None:
         return Verdict(OUTCOME_NOT_APPLICABLE, None, order,
                        f"{order} is not q^4(q^4-1)(q^2-1) for any q = 2^f > 2", None)
-    nse, expected = frozenset(nse), nse_set(q)
+    # one description of the order classes serves the nse set, the A-sets and count_at
+    classes = _order_classes(q)
+    a_sets = AmcSets(*(cls.values() for cls in classes))
+    nse, expected = frozenset(nse), frozenset().union(*a_sets)
     if nse != expected:
         missing, extra = sorted(expected - nse)[:3], sorted(nse - expected)[:3]
         return Verdict(OUTCOME_HYPOTHESES_NOT_MET, q, order,
                        f"nse set differs from nse(PSp4({q})): missing {missing}, unexpected {extra}",
                        None)
 
-    a_sets = build_A_sets(q)
-    classes = _order_classes(q)
     checks = []
     # pi(q^2-1) ascending, from its coprime factors q-1 and q+1
     q2m_primes = sorted(prime_divisors(q - 1) + prime_divisors(q + 1))
@@ -887,7 +889,7 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
         checks.append(PrimeCountCheck(r, value, bucket, value in allowed))
     separated = separation_check(q)
     excluded, frob_witnesses = frobenius_exclusion(q)
-    g = _G(q, order)
+    g = _G(q, order, a_sets)
     entries = tuple(_run_case(row, g) for row in _CASES)
     trace = EliminationTrace(
         a_sets, tuple(checks), separated, excluded, frob_witnesses, entries

@@ -1,6 +1,8 @@
 """Command-line front end: compute invariants, run the oracle, characterize.
 
-Exit codes: 0 success, 1 invariant/comparison failure, 2 configuration error.
+Exit codes: 0 success; 1 a compare, selftest or example-84 failure, or the
+oracle element budget (CapacityExceeded); 2 a configuration or input error,
+argparse usage errors included.
 All emitted JSON/CSV carries big integers as decimal strings and deterministic
 key ordering, so outputs are usable as golden files.
 """

@@ -9,18 +9,15 @@ vector e1 and the closure of its stabilizer.  Matrices have two forms: Mat4,
 which builds and validates the generators, inverts them by Gauss-Jordan
 elimination and is the scalar cross-check, and one uint64 key per matrix laid
 out as Mat4.packed() (16 entries of f bits, row-major, entry (0,0) most
-significant), so q <= 16, for all vectorised work.  Two numpy kernels do the
-work:
-
-- Right multiplication by a fixed matrix, x -> x * m, is GF(2)-linear in the
-  key bits, so each multiplier (a generator, or a coset representative) gets
-  one 256-entry table per key byte, and a product is 2f gathers xored
-  together.
-- Every other product does no gathers: one uint64 multiply copies
-  x^t * (row k of b) into each row slot r of a * b where entry (r, k) of a
-  has bit t set, and the scaled rows come from shifts and masks on the whole
-  key b, once per b.  The power chains of the order histogram, which look up
-  only the generators of each cyclic subgroup, reuse them along each chain.
+significant), so q <= 16, for all vectorised work.  One numpy kernel makes
+every product and does no gathers: one uint64 multiply copies
+x^t * (row k of b) into each row slot r of a * b where entry (r, k) of a has
+bit t set, and the scaled rows come from shifts and masks on the whole key b,
+once per b.  Each set of right multipliers (the generators, a stabilizer's
+generators, the coset representatives) gets its scaled rows once and is
+broadcast against all keys, and the power chains of the order histogram,
+which look up only the generators of each cyclic subgroup, reuse them along
+each chain.
 
 Sp4(4) (979,200 elements: an orbit of 255 points times a stabilizer of
 order 3840) enumerates in about 0.05 s and its histogram takes about 0.2 s
@@ -222,32 +219,6 @@ def _kmul(spec: FieldSpec, a: np.ndarray, b) -> np.ndarray:
     return _smul(spec, a, _scaled_rows(spec, b))
 
 
-def _byte_tables(spec: FieldSpec, mults: np.ndarray) -> np.ndarray:
-    """T[j, i, v] = (v << 8i) * mults[j]: each multiplier's products with one key byte.
-
-    Right multiplication by a fixed matrix is GF(2)-linear in the 16f key bits,
-    so x * m is the xor over the 2f bytes of x of 256-entry tables, 8 KB per
-    multiplier at q = 4.  All tables come from one batched product.
-    """
-    nbytes = 2 * spec.f
-    shifts = np.uint64(8) * np.arange(nbytes, dtype=np.uint64)
-    byte_keys = (np.arange(256, dtype=np.uint64) << shifts[:, None]).reshape(-1)
-    scaled = _scaled_rows(spec, mults[:, None])  # once per multiplier, not per byte key
-    return _smul(spec, byte_keys, scaled).reshape(len(mults), nbytes, 256)
-
-
-def _generator_products(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """P[j, r] = keys[r] * gens[j], from the byte tables of the generators."""
-    key_bytes = [((keys >> np.uint64(8 * i)) & np.uint64(0xFF)).view(np.intp)
-                 for i in range(tables.shape[1])]
-    prods = np.empty((len(tables), len(keys)), dtype=np.uint64)
-    for out, table in zip(prods, tables):
-        np.take(table[0], key_bytes[0], out=out)
-        for byte_table, byte in zip(table[1:], key_bytes[1:]):
-            out ^= byte_table[byte]
-    return prods
-
-
 @dataclass(frozen=True, eq=False)
 class EnumeratedGroup:
     """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys.
@@ -292,10 +263,10 @@ def _row0(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
     return (keys >> np.uint64(12 * spec.f)).view(np.intp)
 
 
-def _search(spec: FieldSpec, tables: np.ndarray, point, cap: int) -> tuple[np.ndarray, list]:
+def _search(spec: FieldSpec, scaled: np.ndarray, point, cap: int) -> tuple[np.ndarray, list]:
     """Breadth-first search from the identity by right multiplication with the
-    generators whose byte tables are given, keeping, for each new point(x), the
-    first product x that reached it.
+    generators whose scaled rows _scaled_rows(spec, gens[:, None]) are given,
+    keeping, for each new point(x), the first product x that reached it.
 
     Returns the sorted points and, level by level, the kept elements with, for
     each, the generator s and the position in the level before of the parent t,
@@ -306,7 +277,7 @@ def _search(spec: FieldSpec, tables: np.ndarray, point, cap: int) -> tuple[np.nd
     levels = [(ident, None, None)]
     while len(levels[-1][0]):
         level = levels[-1][0]
-        prods = _generator_products(tables, level).reshape(-1)
+        prods = _smul(spec, level[None, :], scaled).reshape(-1)
         points = point(prods)
         # stable, so the first product wins; np.unique(return_index=True) is slower
         by_point = np.argsort(points, kind="stable")
@@ -353,8 +324,8 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     if None in inverses:
         raise ValueError(f"generator {inverses.index(None)} is not invertible")
     gen_inv = _keys(spec, inverses)
-    tables = _byte_tables(spec, gens)
-    _, levels = _search(spec, tables, lambda keys: _row0(spec, keys), cap)
+    gen_rows = _scaled_rows(spec, gens[:, None])
+    _, levels = _search(spec, gen_rows, lambda keys: _row0(spec, keys), cap)
     trans_inv = [levels[0][0]]
     for _, s, parent in levels[1:]:
         trans_inv.append(_kmul(spec, gen_inv[s], trans_inv[-1][parent]))
@@ -362,7 +333,7 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     trans_inv = np.concatenate(trans_inv)
     index = np.empty(spec.order**4, dtype=np.intp)
     index[_row0(spec, trans)] = np.arange(len(trans))
-    moved = _generator_products(tables, trans).reshape(-1)
+    moved = _smul(spec, trans[None, :], gen_rows).reshape(-1)
     schreier = _kmul(spec, moved, trans_inv[index[_row0(spec, moved)]])
     chosen: list[np.uint64] = []
     stab = np.array([_identity_key(spec)])
@@ -372,10 +343,11 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         if not len(schreier):
             break
         chosen.append(schreier[0])
-        stab, _ = _search(spec, _byte_tables(spec, np.array(chosen)), lambda keys: keys, cap)
+        chosen_rows = _scaled_rows(spec, np.array(chosen)[:, None])
+        stab, _ = _search(spec, chosen_rows, lambda keys: keys, cap)
     if len(trans) * len(stab) > cap:
         raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-    cosets = _generator_products(_byte_tables(spec, trans), stab)
+    cosets = _smul(spec, stab[None, :], _scaled_rows(spec, trans[:, None]))
     return EnumeratedGroup(spec, np.sort(cosets, axis=None))
 
 

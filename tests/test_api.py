@@ -66,12 +66,12 @@ def _exported_functions(tree: ast.Module) -> list[str]:
 
 
 def _references(node: ast.AST, enclosing: frozenset = frozenset()) -> set[str]:
-    """Names used as a Name, an Attribute or an import, except inside the
-    def of the function of the same name."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    """Names read as a Name, used as an Attribute or imported, except inside
+    the def of the function or class of the same name; assigning is no use."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing |= {node.name}
     if isinstance(node, ast.Name):
-        names = {node.id}
+        names = set() if isinstance(node.ctx, ast.Store) else {node.id}
     elif isinstance(node, ast.Attribute):
         names = {node.attr}
     elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -109,6 +109,18 @@ def _defined_names(tree: ast.Module) -> set[str]:
             names |= {n.id for n in ast.walk(node)
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     return names
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only the tests call is a second path kept for them;
+    # the tests check the package's own code, so the helper goes
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unused = [f"{path.stem}.{name}" for path, tree in trees.items()
+              for name in sorted(_defined_names(tree))
+              if re.fullmatch(r"_[^\W_]\w*", name) and name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "psp4nse"])

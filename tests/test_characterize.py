@@ -156,6 +156,19 @@ def test_characterize_never_builds_the_keyed_table(monkeypatch, goldens):
     )
 
 
+@pytest.mark.parametrize("f", [2, 10])
+def test_characterize_builds_the_order_classes_once(monkeypatch, f):
+    # one description serves the nse comparison, the A-sets and the prime
+    # counts; at f = 2, q^2+1 = 17 is prime and the PSL2(q') case reads the A-sets
+    mod = sys.modules["psp4nse.characterize"]
+    built, real = [], mod._order_classes
+    monkeypatch.setattr(mod, "_order_classes", lambda q: built.append(q) or real(q))
+    build_A_sets.cache_clear()
+    q = 1 << f
+    assert characterize(group_order(q), nse_set(q)).outcome == OUTCOME_ISOMORPHIC
+    assert built == [q]
+
+
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
 def test_a_sets_partition_nse(q):
     a = build_A_sets(q)

@@ -290,3 +290,89 @@ def test_no_floats_anywhere_in_artifacts(tmp_path, capsys):
     capsys.readouterr()
     for path in tmp_path.glob("*.json"):
         json.loads(path.read_text(), parse_float=reject_float)
+
+
+# the exit codes the README documents: 0 success; 1 a compare, selftest or
+# example-84 failure, or the oracle element budget; 2 a configuration or input
+# error, argparse usage errors included
+_EXIT_CODES = (0, 1, 2)
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# no valid q above 8 and no valid order at f >= 48, so every case stays fast
+_q_args = st.one_of(
+    st.integers(max_value=3).map(str),
+    st.integers(5, 1 << 80).filter(lambda n: n & (n - 1)).map(str),
+    st.text(max_size=8).filter(_not_an_int),
+    st.sampled_from(["4", "8"]),
+)
+_bound_args = st.one_of(
+    st.integers(max_value=1000).map(str),
+    st.integers(10**6 + 1, 10**30).map(str),
+    st.text(max_size=8).filter(_not_an_int),
+)
+_order_args = st.one_of(
+    st.tuples(st.integers(2, 20), st.integers(-2, 2)).map(lambda t: str(group_order(1 << t[0]) + t[1])),
+    st.integers(-10**30, 10**30).map(str),
+    st.text(max_size=12),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_nse_files = st.one_of(
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    _json_values.map(lambda v: json.dumps({"counts": v}).encode()),
+    st.integers(2, 12).map(lambda f: json.dumps(sorted(nse_set(1 << f))).encode()),
+    st.binary(max_size=24),
+    st.none(),  # no file at that path
+)
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv for one of the five commands, with "OUT" for a fresh directory,
+    and the bytes of the nse file OUT/nse.json (None: no file)."""
+    command = draw(st.sampled_from(["compute", "oracle", "characterize", "catalan", "selftest"]))
+    argv, nse = [command], None
+    if command == "compute":
+        argv += ["--q", draw(_q_args), "--out", "OUT"]
+    elif command == "oracle":
+        if draw(st.booleans()):
+            argv += ["--q", draw(_q_args)]
+        argv += draw(st.sampled_from([[], ["--compare"], ["--example-84"]])) + ["--out", "OUT"]
+    elif command == "characterize":
+        argv += ["--order", draw(_order_args), "--nse-file", "OUT/nse.json"]
+        nse = draw(_nse_files)
+    elif command == "catalan":
+        argv += ["--bound", draw(_bound_args)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.text(min_size=1, max_size=6)))
+    return argv, nse
+
+
+@settings(max_examples=150)
+@given(call=_cli_calls())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, call):
+    argv, nse = call
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    if nse is not None:
+        (out_dir / "nse.json").write_bytes(nse)
+    argv = [arg.replace("OUT", str(out_dir)) if arg.startswith("OUT") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err.getvalue()

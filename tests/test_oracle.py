@@ -15,14 +15,13 @@ from psp4nse.oracle import (
     Mat4,
     PermGroupSpec,
     _J_ENTRIES,
-    _byte_tables,
     _element_orders,
-    _generator_products,
     _keys,
     _kmul,
     _row0,
     _scaled_rows,
     _search,
+    _smul,
     enumerate_group,
     order_histogram,
     perm_group_elements,
@@ -135,17 +134,22 @@ def test_enumeration_capacity_error():
 def test_capacity_error_comes_before_the_cosets(monkeypatch, cap):
     # |H| = 3840 and |G| = 255 * 3840: cap 1000 stops the closure of the
     # stabilizer, cap 10^5 the count |orbit| * |H|; neither forms a coset
-    # product, whose tables have one row per orbit point
-    rows = []
+    # product, whose multipliers are the 255 orbit representatives.  Each
+    # multiplier set m[:, None] has its scaled rows made once: record its size.
+    counts, scaled_rows = [], oracle._scaled_rows
 
-    def recorded(tables, keys):
-        rows.append(len(tables))
-        return _generator_products(tables, keys)
+    def recorded(spec, b):
+        if np.ndim(b) == 2:
+            counts.append(len(b))
+        return scaled_rows(spec, b)
 
-    monkeypatch.setattr(oracle, "_generator_products", recorded)
+    monkeypatch.setattr(oracle, "_scaled_rows", recorded)
     with pytest.raises(CapacityExceeded, match=f"cap of {cap} elements"):
         enumerate_group(sp4_generators(4), cap=cap)
-    assert rows and max(rows) <= 8
+    assert counts[0] == 8 and max(counts) < 255
+    counts.clear()
+    enumerate_group(sp4_generators(4), cap=979200)
+    assert counts[0] == 8 and counts[-1] == 255
 
 
 def test_enumeration_rejects_keys_over_64_bits():
@@ -179,7 +183,8 @@ def test_kmul_matches_scalar_mul(q, pairs):
 
 @settings(max_examples=40)
 @given(q=st.sampled_from([4, 8, 16]), data=st.data())
-def test_byte_table_products_match_kmul_and_scalar_mul(q, data):
+def test_broadcast_generator_products_match_kmul_and_scalar_mul(q, data):
+    # raw keys are mostly not group elements, nor invertible
     gens = sp4_generators(q)
     spec = gens[0].spec
     raw = data.draw(st.lists(st.integers(0, (1 << (16 * spec.f)) - 1), min_size=1, max_size=6))
@@ -187,7 +192,7 @@ def test_byte_table_products_match_kmul_and_scalar_mul(q, data):
     mats = [Mat4(spec, tuple(row.tolist())) for row in _unpack(spec, np.array(raw, np.uint64))]
     mats += [_word(q, w) for w in words]
     keys = _keys(spec, mats)
-    prods = _generator_products(_byte_tables(spec, _keys(spec, gens)), keys)
+    prods = _smul(spec, keys[None, :], _scaled_rows(spec, _keys(spec, gens)[:, None]))
     assert prods.shape == (8, len(mats))
     for row, g in zip(prods, gens):
         want = [m.mul(g).packed() for m in mats]
@@ -333,8 +338,8 @@ def test_cosets_of_the_stabilizer_match_scalar_closure(drawn):
     fix_e1, gens = drawn
     spec = gens[0].spec
     if fix_e1:
-        tables = _byte_tables(spec, _keys(spec, gens))
-        orbit, levels = _search(spec, tables, lambda keys: _row0(spec, keys), _SMALL_CAP)
+        scaled = _scaled_rows(spec, _keys(spec, gens)[:, None])
+        orbit, levels = _search(spec, scaled, lambda keys: _row0(spec, keys), _SMALL_CAP)
         assert len(orbit) == 1 and sum(len(keys) for keys, _, _ in levels) == 1
     try:
         want = _scalar_closure(gens, _SMALL_CAP)
@@ -384,14 +389,14 @@ def _bfs_closure(generators, cap):
     """Sorted keys of the closure by the earlier numpy enumeration: breadth-first
     over the whole group, each level deduplicated against the keys seen."""
     spec = generators[0].spec
-    tables = _byte_tables(spec, _keys(spec, generators))
+    scaled = _scaled_rows(spec, _keys(spec, generators)[:, None])
     seen = _keys(spec, [Mat4.identity(spec)])  # sorted throughout
     frontier = seen
     while len(frontier):
         fresh_blocks = []
         for start in range(0, len(frontier), 1 << 18):
             chunk = frontier[start : start + (1 << 18)]
-            prods = np.sort(_generator_products(tables, chunk), axis=None)
+            prods = np.sort(_smul(spec, chunk[None, :], scaled), axis=None)
             prods = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
             pos = np.searchsorted(seen, prods)
             fresh = seen[np.minimum(pos, len(seen) - 1)] != prods
@@ -548,21 +553,16 @@ def test_sp44_full_enumeration(sp44):
 def _conjugation_permutations(group, gens):
     """P[j][x] = the position of gens[j]^-1 * keys[x] * gens[j] among the keys."""
     spec, keys = group.spec, group.keys
-    right = _byte_tables(spec, _keys(spec, gens))
-    # x -> m * x is GF(2)-linear in the key bits too: the byte-table product with
-    # its operands swapped
-    shifts = np.uint64(8) * np.arange(2 * spec.f, dtype=np.uint64)
-    byte_keys = (np.arange(256, dtype=np.uint64) << shifts[:, None]).reshape(-1)
-    inverses = _keys(spec, [g.inverse() for g in gens])
-    left = _kmul(spec, inverses[:, None], byte_keys).reshape(right.shape)
+    right = _scaled_rows(spec, _keys(spec, gens)[:, None])
+    inverses = _keys(spec, [g.inverse() for g in gens])[:, None]
     perms = []
-    for j in range(len(gens)):
-        moved = _generator_products(left[j : j + 1], keys)[0]
-        conj = _generator_products(right[j : j + 1], moved)[0]
+    # the left products g^-1 * x need the scaled rows of the keys: 8 MB a chunk
+    for chunk in np.split(keys, range(1 << 17, len(keys), 1 << 17)):
+        conj = _smul(spec, _smul(spec, inverses, _scaled_rows(spec, chunk)), right)
         pos = np.searchsorted(keys, conj)
         assert np.array_equal(keys[np.minimum(pos, len(keys) - 1)], conj)
         perms.append(pos.astype(np.int32))
-    return perms
+    return list(np.concatenate(perms, axis=1))
 
 
 def _orbit_labels(perms, n):
