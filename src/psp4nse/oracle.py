@@ -7,20 +7,21 @@ reflections) by orbit-stabilizer with Schreier's lemma, so every element is
 made exactly once.  One breadth-first search serves both the orbit of the row
 vector e1 and the closure of its stabilizer.  Matrices have two forms: Mat4,
 which builds and validates the generators, inverts them by Gauss-Jordan
-elimination and is the scalar cross-check, and one uint64 key per matrix laid
-out as Mat4.packed() (16 entries of f bits, row-major, entry (0,0) most
-significant), so q <= 16, for all vectorised work.  One numpy kernel makes
-every product and does no gathers: one uint64 multiply copies
-x^t * (row k of b) into each row slot r of a * b where entry (r, k) of a has
-bit t set, and the scaled rows come from shifts and masks on the whole key b,
-once per b.  Each set of right multipliers (the generators, a stabilizer's
-generators, the coset representatives) gets its scaled rows once and is
-broadcast against all keys, and the power chains of the order histogram,
-which look up only the generators of each cyclic subgroup, reuse them along
-each chain.
+elimination and is the scalar cross-check, and one key per matrix laid out
+as Mat4.packed() (16 entries of f bits, row-major, entry (0,0) most
+significant) for all vectorised work.  A key is held in the narrowest
+unsigned word of its 16f bits, uint32 at q = 4 and uint64 at q = 8 and 16,
+so q <= 16.  One numpy kernel makes every product and does no gathers: one
+multiply of key words copies x^t * (row k of b) into each row slot r of
+a * b where entry (r, k) of a has bit t set, and the scaled rows come from
+shifts and masks on the whole key b, once per b.  Each set of right
+multipliers (the generators, a stabilizer's generators, the coset
+representatives) gets its scaled rows once and is broadcast against all
+keys, and the power chains of the order histogram, which look up only the
+generators of each cyclic subgroup, reuse them along each chain.
 
 Sp4(4) (979,200 elements: an orbit of 255 points times a stabilizer of
-order 3840) enumerates in about 0.05 s and its histogram takes about 0.2 s
+order 3840) enumerates in about 0.04 s and its histogram takes about 0.2 s
 on a 2-vCPU x86-64 host.
 
 For even q the symplectic group is already simple modulo nothing: the center
@@ -171,12 +172,18 @@ def sp4_generators(q: int) -> list[Mat4]:
 _MAX_KEY_DEGREE = 4  # 16 entries of f bits fill at most one uint64
 
 
-def _keys(spec: FieldSpec, mats: list[Mat4]) -> np.ndarray:
-    """The packed keys of the matrices, as uint64."""
+def _key_dtype(spec: FieldSpec) -> np.dtype:
+    """The narrowest unsigned word that holds a key's 16f bits."""
     if spec.f > _MAX_KEY_DEGREE:
         raise ValueError(f"matrices over GF(2^{spec.f}) need {16 * spec.f}-bit keys; the "
                          f"oracle packs them into 64 bits, so q <= {1 << _MAX_KEY_DEGREE}")
-    return np.array([m.packed() for m in mats], dtype=np.uint64)
+    # by size: min_scalar_type gives ulonglong, not uint64, for 48 and 64 bits
+    return np.dtype(f"u{np.min_scalar_type((1 << (16 * spec.f)) - 1).itemsize}")
+
+
+def _keys(spec: FieldSpec, mats: list[Mat4]) -> np.ndarray:
+    """The packed keys of the matrices, in the key word of the spec."""
+    return np.array([m.packed() for m in mats], dtype=_key_dtype(spec))
 
 
 def _scaled_rows(spec: FieldSpec, b) -> np.ndarray:
@@ -185,15 +192,16 @@ def _scaled_rows(spec: FieldSpec, b) -> np.ndarray:
     One step b -> x * b scales all 16 entries of the key at once: each shifts
     left, and one whose top bit falls out takes modulus - x^f in its place.
     """
+    word = _key_dtype(spec).type
     f, w = spec.f, 4 * spec.f
-    top = np.uint64(sum(1 << (f * e + f - 1) for e in range(16)))
-    reduction = np.uint64(spec.modulus ^ spec.order)
-    steps = [np.asarray(b, dtype=np.uint64)]
+    top = word(sum(1 << (f * e + f - 1) for e in range(16)))
+    reduction = word(spec.modulus ^ spec.order)
+    steps = [np.asarray(b, dtype=word)]
     while len(steps) < f:
         b = steps[-1]
-        steps.append(((b & ~top) << np.uint64(1)) ^ (((b & top) >> np.uint64(f - 1)) * reduction))
-    row = np.uint64((1 << w) - 1)
-    return np.array([(b >> np.uint64(w * (3 - k))) & row for k in range(4) for b in steps])
+        steps.append(((b & ~top) << word(1)) ^ (((b & top) >> word(f - 1)) * reduction))
+    row = word((1 << w) - 1)
+    return np.array([(b >> word(w * (3 - k))) & row for k in range(4) for b in steps])
 
 
 def _smul(spec: FieldSpec, a: np.ndarray, scaled: np.ndarray) -> np.ndarray:
@@ -201,14 +209,16 @@ def _smul(spec: FieldSpec, a: np.ndarray, scaled: np.ndarray) -> np.ndarray:
 
     One shift of a brings bit t of entry (r, k), for all four r, to the lowest
     bit of row slot r; one multiply copies x^t * (row k of b) into each slot
-    whose bit is set.  Rows have 4f bits and 16f <= 64: no overlap, no carry.
+    whose bit is set.  Rows have 4f bits and the key word at least 16f: no
+    overlap, no carry.
     """
+    word = _key_dtype(spec).type
     f = spec.f
-    slots = np.uint64(sum(1 << (4 * f * r) for r in range(4)))
-    out = np.zeros(np.broadcast_shapes(np.shape(a), scaled.shape[1:]), dtype=np.uint64)
-    bits, term = np.empty(np.shape(a), dtype=np.uint64), np.empty_like(out)
+    slots = word(sum(1 << (4 * f * r) for r in range(4)))
+    out = np.zeros(np.broadcast_shapes(np.shape(a), scaled.shape[1:]), dtype=word)
+    bits, term = np.empty_like(a, dtype=word), np.empty_like(out)
     for i, rows in enumerate(scaled):
-        np.right_shift(a, np.uint64(f * (3 - i // f) + i % f), out=bits)
+        np.right_shift(a, word(f * (3 - i // f) + i % f), out=bits)
         bits &= slots
         out ^= np.multiply(bits, rows, out=term)
     return out
@@ -223,15 +233,19 @@ def _kmul(spec: FieldSpec, a: np.ndarray, b) -> np.ndarray:
 class EnumeratedGroup:
     """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys.
 
-    The keys are copied into a read-only array, so the order histogram that
-    order_histogram stores on the group cannot go stale.
+    The keys are copied into a read-only array of the spec's key word, so the
+    order histogram that order_histogram stores on the group cannot go stale.
+    A key outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast.
     """
 
     spec: FieldSpec
     keys: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = np.array(self.keys, dtype=np.uint64)
+        given, bits = np.asarray(self.keys), 16 * self.spec.f
+        if given.size and not 0 <= int(given.min()) <= int(given.max()) < 1 << bits:
+            raise ValueError(f"group keys must lie in 0..2^{bits} - 1")
+        keys = given.astype(_key_dtype(self.spec))
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("group keys must be strictly increasing")
         keys.flags.writeable = False
@@ -243,24 +257,25 @@ class EnumeratedGroup:
     def __contains__(self, m: Mat4) -> bool:
         if m.spec != self.spec:
             return False
-        key = np.uint64(m.packed())
+        key = _key_dtype(self.spec).type(m.packed())
         pos = int(np.searchsorted(self.keys, key))
         return pos < len(self.keys) and self.keys[pos] == key
 
     @cached_property
     def _histogram(self) -> OrderHistogram:
         orders = _element_orders(self.spec, self.keys, len(self) + 1)
-        counts = np.bincount(orders)
-        return OrderHistogram({k: int(c) for k, c in enumerate(counts.tolist()) if c})
+        # np.bincount would first copy the int32 orders to intp
+        values, counts = np.unique(orders, return_counts=True)
+        return OrderHistogram(dict(zip(values.tolist(), counts.tolist())))
 
 
-def _identity_key(spec: FieldSpec) -> np.uint64:
-    return np.uint64(Mat4.identity(spec).packed())
+def _identity_key(spec: FieldSpec) -> np.unsignedinteger:
+    return _key_dtype(spec).type(Mat4.identity(spec).packed())
 
 
 def _row0(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
     """e1 * M for each key M: its row 0, the top 4f bits, as an index."""
-    return (keys >> np.uint64(12 * spec.f)).view(np.intp)
+    return (keys >> _key_dtype(spec).type(12 * spec.f)).astype(np.intp)
 
 
 def _search(spec: FieldSpec, scaled: np.ndarray, point, cap: int) -> tuple[np.ndarray, list]:
@@ -335,7 +350,7 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     index[_row0(spec, trans)] = np.arange(len(trans))
     moved = _smul(spec, trans[None, :], gen_rows).reshape(-1)
     schreier = _kmul(spec, moved, trans_inv[index[_row0(spec, moved)]])
-    chosen: list[np.uint64] = []
+    chosen: list[np.unsignedinteger] = []
     stab = np.array([_identity_key(spec)])
     while True:
         pos = np.minimum(np.searchsorted(stab, schreier), len(stab) - 1)
@@ -347,8 +362,9 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         stab, _ = _search(spec, chosen_rows, lambda keys: keys, cap)
     if len(trans) * len(stab) > cap:
         raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-    cosets = _smul(spec, stab[None, :], _scaled_rows(spec, trans[:, None]))
-    return EnumeratedGroup(spec, np.sort(cosets, axis=None))
+    cosets = _smul(spec, stab[None, :], _scaled_rows(spec, trans[:, None])).reshape(-1)
+    cosets.sort()
+    return EnumeratedGroup(spec, cosets)
 
 
 _SP4_CACHE: dict[int, EnumeratedGroup] = {}
@@ -400,14 +416,14 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
     closed gets the same orders as a chain per key.
     """
     ident = _identity_key(spec)
-    orders = np.zeros(len(keys), dtype=np.int64)
+    orders = np.zeros(len(keys), dtype=np.int32)
     start, window = 0, 4 * _ORDER_BATCH
     while start < len(keys):
         batch = np.flatnonzero(orders[start : start + window] == 0)[:_ORDER_BATCH] + start
         start = int(batch[-1]) + 1 if len(batch) == _ORDER_BATCH else start + window
         if not len(batch):
             continue
-        chain_orders = np.zeros(len(batch), dtype=np.int64)
+        chain_orders = np.zeros(len(batch), dtype=orders.dtype)
         powers, owners = [], []  # g^j, j >= 2, not yet the identity, and the index of g
         idx = np.arange(len(batch))
         cur = keys[batch]

@@ -1,5 +1,10 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from psp4nse.oracle import (
     PermGroupSpec,
     _J_ENTRIES,
     _element_orders,
+    _identity_key,
     _keys,
     _kmul,
     _row0,
@@ -157,6 +163,18 @@ def test_enumeration_rejects_keys_over_64_bits():
         enumerate_group([Mat4.identity(FieldSpec.for_degree(5))], cap=10)
 
 
+@pytest.mark.parametrize("f, bad", [(2, 1 << 40), (2, 1 << 32), (3, 1 << 50), (3, 1 << 48)])
+def test_enumerated_group_rejects_keys_beyond_the_key_width(f, bad):
+    # cast to uint32, 2^40 + k would wrap to k and alias the identity's key
+    spec = FieldSpec.for_degree(f)
+    ident = Mat4.identity(spec).packed()
+    bits = 16 * f
+    for keys in ([ident, bad + ident], np.array([ident, bad + ident], dtype=np.uint64), [-1, ident]):
+        with pytest.raises(ValueError, match=rf"must lie in 0..2\^{bits} - 1"):
+            EnumeratedGroup(spec, keys)
+    assert EnumeratedGroup(spec, [ident, (1 << bits) - 1]).keys.tolist() == [ident, (1 << bits) - 1]
+
+
 def _word(q, word):
     gens = sp4_generators(q)
     m = Mat4.identity(gens[0].spec)
@@ -216,6 +234,43 @@ def test_scaled_rows_match_field_mul_in_every_slot(f):
             assert not got[:, :12].any()  # the row lies in the low 4f bits
             want = [[spec.mul(1 << t, e) for e in row[4 * k : 4 * k + 4]] for row in entries.tolist()]
             assert got[:, 12:].tolist() == want
+
+
+class _KeyWordOnly(np.ndarray):
+    """Keys whose ufuncs fail on an operand of another dtype: a stray
+    np.uint64 constant beside uint32 keys would promote the whole product."""
+
+    def __array_ufunc__(self, ufunc, method, *args, out=(), **kwargs):
+        operands = [*args, *out]
+        assert {np.asarray(x).dtype for x in operands} == {self.dtype}, ufunc.__name__
+        plain = [x.view(np.ndarray) if isinstance(x, _KeyWordOnly) else x for x in operands]
+        if out:
+            kwargs["out"] = tuple(plain[len(args):])
+        return getattr(ufunc, method)(*plain[: len(args)], **kwargs)
+
+
+@pytest.mark.parametrize("f, word", [(1, np.uint16), (2, np.uint32), (3, np.uint64),
+                                     (4, np.uint64)])
+def test_keys_stay_in_the_narrowest_word_of_16f_bits(f, word):
+    # S4 as permutation matrices, invertible over every field
+    spec = FieldSpec.for_degree(f)
+    gens = [_perm_matrix(spec, (1, 0, 2, 3)), _perm_matrix(spec, (1, 2, 3, 0))]
+    group = enumerate_group(gens, cap=24)
+    keys = group.keys
+    assert keys.tolist() == _scalar_closure(gens, 24)
+    assert keys.dtype == _keys(spec, gens).dtype == word
+    assert type(_identity_key(spec)) is word
+    scaled = _scaled_rows(spec, keys)
+    for rows in (scaled, _scaled_rows(spec, keys[0]), _scaled_rows(spec, keys[:, None])):
+        assert rows.dtype == word
+    assert _kmul(spec, keys, keys).dtype == _kmul(spec, keys, keys[0]).dtype == word
+    # every ufunc of the kernel sees only key words, also where out= hides a
+    # promotion; _smul's shift buffer is empty_like(a), so it is checked too
+    strict = _smul(spec, keys.view(_KeyWordOnly), scaled.view(_KeyWordOnly))
+    assert strict.dtype == word and np.array_equal(strict, _kmul(spec, keys, keys))
+    table = _smul(spec, keys[None, :].view(_KeyWordOnly),
+                  _scaled_rows(spec, keys[:, None]).view(_KeyWordOnly))
+    assert table.dtype == word and sorted(table[5].tolist()) == keys.tolist()
 
 
 _SMALL_CAP = 400
@@ -475,6 +530,39 @@ def test_enumerated_group_is_immutable():
         group.keys = source
     with pytest.raises(ValueError, match="strictly increasing"):
         EnumeratedGroup(group.spec, group.keys[::-1])
+
+
+def test_sp44_key_and_order_digests(sp44):
+    # recorded on uint64 keys and int64 orders: the narrower words hold the same values
+    assert hashlib.sha256(sp44.keys.astype(np.uint64).tobytes()).hexdigest() == \
+        "73613800065e58a5f7fe7e0d4fc4d112c4813e0cb1fa8aec9204a00e55822f3f"
+    orders = _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+    assert hashlib.sha256(orders.astype(np.int64).tobytes()).hexdigest() == \
+        "d0c9c6fb92bfac257f809ee4440913d4543446750e30ba2674ed99324a3fbf12"
+
+
+_HISTOGRAM_PEAK_GROWTH = """
+import resource
+from psp4nse.oracle import order_histogram, sp4_group
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+order_histogram(sp4_group(4))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+# ru_maxrss survives exec: a child starts from the peak of the process that
+# spawned it, so a bare interpreter spawns the child, not the suite
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def test_sp44_enumeration_and_histogram_peak_memory():
+    # the peak grew by 27.6 MB on uint64 keys with a sorted copy of the cosets
+    # and int64 orders, and by 17.9 MB since
+    src = Path(oracle.__file__).resolve().parents[1]
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", _HISTOGRAM_PEAK_GROWTH]
+    run = subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         timeout=120, check=True)
+    assert int(run.stdout) < 22 * 1024  # ru_maxrss is in KiB
 
 
 def test_histogram_computed_once_per_group(sp44, sp44_hist):
