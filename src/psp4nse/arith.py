@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import index
 
 import numpy as np
 
@@ -176,7 +177,9 @@ def factorize(n: int) -> Factorization:
     divided prime by prime.  Division stops at the first prime, or run, whose
     square exceeds the cofactor, which is then 1 or prime; a cofactor left
     after the whole sieve goes to Miller-Rabin and Pollard-Brent rho.
+    A non-integer n raises TypeError.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     primes = _small_primes()
@@ -451,6 +454,14 @@ def power_of_two_exponent(q: int) -> int | None:
     if q < 1 or q & (q - 1):
         return None
     return q.bit_length() - 1
+
+
+def _integers(values):
+    """The collection values itself when every value is a Python int, else its
+    values as a list of ints: numpy integers are converted, and any other
+    non-integer (a float, say) raises TypeError."""
+    # a type test per value is cheaper than a conversion, and plain ints are the rule
+    return values if set(map(type, values)) <= {int} else list(map(index, values))
 
 
 def validate_q(q: int) -> int:

@@ -15,6 +15,7 @@ recognition theorem.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, filterfalse, takewhile
@@ -24,6 +25,7 @@ from typing import Callable, NamedTuple
 from . import families as fam
 from .arith import (
     DivisibilityCheck,
+    _integers,
     divisor_phi_psi,
     is_prime,
     is_prime_power,
@@ -860,8 +862,11 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
 
     NotApplicable when the order is no PSp4(2^f) order, HypothesesNotMet when
     the nse set differs from nse(PSp4(q)), and otherwise Isomorphic with a
-    full machine-readable trace.
+    full machine-readable trace.  A non-integer order or nse member raises
+    TypeError.
     """
+    order, nse = operator.index(order), frozenset(nse)
+    nse = frozenset(_integers(nse))
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not nse:
@@ -873,7 +878,7 @@ def characterize(order: int, nse: frozenset[int] | set[int]) -> Verdict:
     # one description of the order classes serves the nse set, the A-sets and count_at
     classes = _order_classes(q)
     a_sets = AmcSets(*(cls.values() for cls in classes))
-    nse, expected = frozenset(nse), frozenset().union(*a_sets)
+    expected = frozenset().union(*a_sets)
     if nse != expected:
         missing, extra = sorted(expected - nse)[:3], sorted(nse - expected)[:3]
         return Verdict(OUTCOME_HYPOTHESES_NOT_MET, q, order,

@@ -10,10 +10,12 @@ divides a maximal element order, so PSp4(q)'s graph is built from those.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
-from .arith import factorize, is_prime, prime_divisors
+from .arith import _integers, factorize, is_prime, prime_divisors
 from .sympl import group_order
 
 __all__ = ["PrimeGraph", "build_graph", "prime_graph", "separation_check", "graph_json"]
@@ -33,35 +35,69 @@ class PrimeGraph:
         raise KeyError(f"{p} is not a vertex")
 
 
+def _primes_by_division(member: int, known: list[int]) -> list[int]:
+    """The primes of a composite member: the known ones by division, the
+    cofactor left factored (the member itself without a primality test)."""
+    primes = [p for p in known if member % p == 0]
+    rest = member
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    if rest > 1:
+        primes.extend((rest,) if rest < member and is_prime(rest) else factorize(rest).primes)
+    return sorted(primes)
+
+
 def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGraph:
     """Prime graph from a spectrum and the group order.
 
     The component containing 2 (when present) is listed first; the rest are
     ordered by smallest prime.  Order components are assembled by routing each
     prime power of the order's factorization to its prime's component.
+    Members and order must be integers (TypeError otherwise).
     """
-    if 1 not in spec_orders:
+    members = sorted(_integers(spec_orders))
+    order = index(order)
+    if 1 not in members:
         raise ValueError("spectrum must contain 1")
-    for s in spec_orders:
+    for s in members:
         if s < 1 or order % s:
             raise ValueError(f"spectrum member {s} does not divide the order {order}")
-    # take the members smallest first and divide out the primes found so far.
-    # In a divisor-closed spectrum every prime of a member is a smaller member,
-    # so what is left is 1 or a prime; only a set that is not divisor-closed
-    # can leave a composite for factorize.
+    # take the members smallest first, each with its primes as a bitmask and
+    # its least prime.  As in Euler's sieve, a member s marks p s for each
+    # known prime p up to its least one, so a member whose quotient by its
+    # least prime is a member (every member but the primes, in a
+    # divisor-closed spectrum) arrives marked with its primes, and p gains
+    # the edges to the primes of s.  An unmarked member is a new prime, or,
+    # only in a set that is not divisor-closed, divided by every known prime.
+    # A mark is held only until the walk reaches its member.
+    top = members[-1]
+    member_set = set(members)
+    marks = {1: (0, 0)}
     known: list[int] = []
-    supports = set()
-    for member in sorted(spec_orders):
-        support = [p for p in known if member % p == 0]
-        rest = member
-        for p in support:
-            while rest % p == 0:
-                rest //= p
-        if rest > 1:
-            found = (rest,) if is_prime(rest) else factorize(rest).primes
-            known.extend(found)
-            support.extend(found)
-        supports.add(tuple(sorted(support)))
+    bits: dict[int, int] = {}
+    joined: dict[int, int] = {}
+    edges = set()
+    for s in members:
+        mark = marks.pop(s, None)
+        if mark is None:
+            support = [s] if is_prime(s) else _primes_by_division(s, known)
+            mask = 0
+            for p in support:
+                if p not in bits:
+                    bits[p], joined[p] = 1 << len(bits), 0
+                    insort(known, p)
+                mask |= bits[p]
+            edges.update(combinations(support, 2))
+            mark = (mask, support[0])
+        mask, least = mark
+        for p in known:
+            t = p * s
+            if p > least or t > top:
+                break
+            if t in member_set:
+                marks[t] = (mask | bits[p], p)
+                joined[p] |= mask
     # the order's exponents by division; only the cofactor left needs factoring
     fac = {}
     cofactor = order
@@ -74,7 +110,13 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     if cofactor > 1:
         fac.update(factorize(cofactor))
     vertices = tuple(sorted(fac))
-    edges = {edge for ps in supports for edge in combinations(ps, 2)}
+    # p is the least prime of each member it marked, so it joins only larger primes
+    prime_of_bit = sorted(bits, key=bits.get)
+    for p, mask in joined.items():
+        mask &= ~bits[p]
+        while mask:
+            edges.add((p, prime_of_bit[(mask & -mask).bit_length() - 1]))
+            mask &= mask - 1
     # merge the vertex sets of each edge's ends; every vertex maps to its set
     comp_of = {v: {v} for v in vertices}
     for a, b in edges:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisor_phi_psi, validate_q
+from .arith import divisor_phi_psi, divisors, validate_q
 
 __all__ = [
     "ClassDescriptor",
@@ -130,6 +130,46 @@ def _pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t[rows], t[cols]
 
 
+def _gcd_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The divisors of m ascending (int64), and for every residue r in 0..m-1
+    the index of gcd(r, m) among them.
+
+    Each divisor d writes its index over the multiples of d, the larger
+    divisors last, so every residue ends at the largest divisor of m it is a
+    multiple of: gcd(r, m).
+    """
+    divs = divisors(m)
+    index = np.empty(m, dtype=np.intp)
+    for k, d in enumerate(divs):
+        index[::d] = k
+    return np.array(divs, dtype=np.int64), index
+
+
+def _pair_orders(m: int, t: np.ndarray, divs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """m / gcd(i, j, m) for the pairs i < j of t = 1..n, in _pairs order.
+
+    gcd(i, j, m) is the gcd of the divisors gcd(i, m) and gcd(j, m), so one
+    row per divisor over all of t holds every value; the pairs that start at
+    i are the tail of the row of gcd(i, m) past i.
+    """
+    cols = index[t]
+    rows = (m // np.gcd.outer(divs, divs))[:, cols]
+    return np.concatenate([rows[a, k:] for k, a in enumerate(cols.tolist(), 1)])
+
+
+def _orbit_orders(q: int, m: int, i: np.ndarray) -> np.ndarray:
+    """m / gcd(i, m) for i = _least_in_q_orbit(q, m).
+
+    The members that a divisor d of m divides are d times those of
+    _least_in_q_orbit(q, m / d), since q d k mod m = d (q k mod m / d); each
+    proper divisor, the larger last, writes m / d at their places in i.
+    """
+    orders = np.full(len(i), m, dtype=np.int64)
+    for d in divisors(m)[1:-1]:
+        orders[np.searchsorted(i, d * _least_in_q_orbit(q, m // d))] = m // d
+    return orders
+
+
 def class_table(q: int) -> ClassTable:
     """All conjugacy classes of PSp4(q), each orbit of parameters by its least member.
 
@@ -138,6 +178,11 @@ def class_table(q: int) -> ClassTable:
     (+-i,+-j); C/D: i ~ -i.  With T1 = 1..(q-2)/2 and T2 = 1..q/2, the least
     members are i < j in T1 (B1) or T2 (B4), T1 x T2 (B3) and T1 or T2 (C/D),
     each family in increasing order.
+
+    A representative's order is m / gcd(i, m) (or m / gcd(i, j, m)) for the
+    family's modulus m.  No row takes its own gcd: the orders modulo q-1 and
+    q+1 are read from _gcd_table of each, q^2 - 1 = (q-1)(q+1) multiplies
+    the two, and B5's orders modulo q^2+1 come from its divisors.
 
     A table of more than 2^25 rows (q > 2^12) raises ValueError before
     anything is allocated.
@@ -152,6 +197,9 @@ def class_table(q: int) -> ClassTable:
     o4 = q**4 - 1
     t1 = np.arange(1, (q - 2) // 2 + 1, dtype=np.int64)
     t2 = np.arange(1, q // 2 + 1, dtype=np.int64)
+    # the order of every residue modulo q-1 and modulo q+1
+    (divs_m, index_m), (divs_p, index_p) = _gcd_table(qm), _gcd_table(qp)
+    order_m, order_p = (qm // divs_m)[index_m], (qp // divs_p)[index_p]
     half_len = q * q * (q * q - 1) * o4 // 2
     blocks = [
         ClassBlock(family, None, None, np.array([order], dtype=np.int64), length)
@@ -166,28 +214,29 @@ def class_table(q: int) -> ClassTable:
     ]
 
     i, j = _pairs(t1)
-    blocks.append(ClassBlock("B1", i, j, qm // np.gcd(np.gcd(i, j), qm), q**4 * qp * qp * q2p))
+    blocks.append(ClassBlock("B1", i, j, _pair_orders(qm, t1, divs_m, index_m), q**4 * qp * qp * q2p))
+    # gcd(q-1, q+1) = 1, so the order modulo q^2-1 is the product of the two
     i = _least_in_q_orbit(q, q2m)
-    blocks.append(ClassBlock("B2", i, None, q2m // np.gcd(i, q2m), q**4 * o4))
+    blocks.append(ClassBlock("B2", i, None, order_m[i % qm] * order_p[i % qp], q**4 * o4))
     i, j = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
-    blocks.append(ClassBlock("B3", i, j, q2m // (np.gcd(i, qm) * np.gcd(j, qp)), q**4 * o4))
+    blocks.append(ClassBlock("B3", i, j, np.multiply.outer(order_m[t1], order_p[t2]).ravel(), q**4 * o4))
     i, j = _pairs(t2)
-    blocks.append(ClassBlock("B4", i, j, qp // np.gcd(np.gcd(i, j), qp), q**4 * qm * qm * q2p))
+    blocks.append(ClassBlock("B4", i, j, _pair_orders(qp, t2, divs_p, index_p), q**4 * qm * qm * q2p))
     i = _least_in_q_orbit(q, q2p)
-    blocks.append(ClassBlock("B5", i, None, q2p // np.gcd(i, q2p), q**4 * q2m * q2m))
+    blocks.append(ClassBlock("B5", i, None, _orbit_orders(q, q2p, i), q**4 * q2m * q2m))
 
-    # C and D: (family, parameters, modulus m, element order = k * m / gcd(m, i), length)
-    for family, params, m, k, length in (
-        ("C1", t1, qm, 1, q**3 * qp * q2p),
-        ("C2", t1, qm, 1, q**3 * qp * q2p),
-        ("C3", t2, qp, 1, q**3 * qm * q2p),
-        ("C4", t2, qp, 1, q**3 * qm * q2p),
-        ("D1", t1, qm, 2, q**3 * qp * o4),
-        ("D2", t1, qm, 2, q**3 * qp * o4),
-        ("D3", t2, qp, 2, q**3 * qm * o4),
-        ("D4", t2, qp, 2, q**3 * qm * o4),
+    # C and D: (family, parameters, orders modulo m, element order = k * m / gcd(m, i), length)
+    for family, params, order, k, length in (
+        ("C1", t1, order_m, 1, q**3 * qp * q2p),
+        ("C2", t1, order_m, 1, q**3 * qp * q2p),
+        ("C3", t2, order_p, 1, q**3 * qm * q2p),
+        ("C4", t2, order_p, 1, q**3 * qm * q2p),
+        ("D1", t1, order_m, 2, q**3 * qp * o4),
+        ("D2", t1, order_m, 2, q**3 * qp * o4),
+        ("D3", t2, order_p, 2, q**3 * qm * o4),
+        ("D4", t2, order_p, 2, q**3 * qm * o4),
     ):
-        blocks.append(ClassBlock(family, params, None, k * m // np.gcd(params, m), length))
+        blocks.append(ClassBlock(family, params, None, k * order[params], length))
 
     return ClassTable(tuple(blocks))
 

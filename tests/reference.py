@@ -2,7 +2,8 @@
 
 Each is the textbook definition over the prime factorization, or a former
 package path kept as the second side of a differential test: the spectrum
-from all five moduli, the per-family CSV writer, the per-order count
+from all five moduli, the class table row by row and its representatives'
+orders by one np.gcd per row, the per-family CSV writer, the per-order count
 dispatcher with phi and psi by trial division over the order primes, trial
 division one sieve prime at a time, the byte-array sieve, and the
 divide-out recursion for cyclotomic values.  No package module calls them,
@@ -10,7 +11,10 @@ so they live beside the checks that do.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, isqrt
+
+import numpy as np
 
 from psp4nse.arith import (
     Factorization,
@@ -78,6 +82,76 @@ def class_table_csv(table) -> str:
         cols = [c.tolist() for c in (i, j, rep) if c is not None]
         parts.append("".join(map(fmt.__mod__, zip(*cols, range(len(rep))))))
     return "".join(parts)
+
+
+def class_rows(q: int) -> list[tuple]:
+    """The class table row by row, as (family, i, j, rep_order, class_length)
+    tuples, each order from math.gcd: the loop form the columnar blocks
+    replaced."""
+    qm, qp = q - 1, q + 1
+    q2m, q2p = q * q - 1, q * q + 1
+    o4 = q**4 - 1
+    t1, t2 = range(1, (q - 2) // 2 + 1), range(1, q // 2 + 1)
+
+    def least_in_q_orbit(m):
+        return [i for i in range(1, (m - 1) // 2 + 1) if i < q * i % m < m - i]
+
+    half_len = q * q * (q * q - 1) * o4 // 2
+    rows = [("A1", None, None, 1, 1), ("A2", None, None, 2, o4), ("A31", None, None, 2, o4),
+            ("A32", None, None, 2, (q * q - 1) * o4),
+            ("A41", None, None, 4, half_len), ("A42", None, None, 4, half_len)]
+    rows += [("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p) for i, j in combinations(t1, 2)]
+    rows += [("B2", i, None, q2m // gcd(q2m, i), q**4 * o4) for i in least_in_q_orbit(q2m)]
+    rows += [("B3", i, j, q2m // (gcd(qm, i) * gcd(qp, j)), q**4 * o4) for i in t1 for j in t2]
+    rows += [("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p) for i, j in combinations(t2, 2)]
+    rows += [("B5", i, None, q2p // gcd(q2p, i), q**4 * q2m * q2m) for i in least_in_q_orbit(q2p)]
+    for family, params, m, k, length in (
+        ("C1", t1, qm, 1, q**3 * qp * q2p),
+        ("C2", t1, qm, 1, q**3 * qp * q2p),
+        ("C3", t2, qp, 1, q**3 * qm * q2p),
+        ("C4", t2, qp, 1, q**3 * qm * q2p),
+        ("D1", t1, qm, 2, q**3 * qp * o4),
+        ("D2", t1, qm, 2, q**3 * qp * o4),
+        ("D3", t2, qp, 2, q**3 * qm * o4),
+        ("D4", t2, qp, 2, q**3 * qm * o4),
+    ):
+        rows += [(family, i, None, k * m // gcd(m, i), length) for i in params]
+    return rows
+
+
+def class_blocks_by_gcd(q: int) -> dict[str, tuple]:
+    """The B, C and D families of class_table(q) as family -> (i, j, rep_order),
+    int64 columns (None for an absent parameter), each representative order
+    from one np.gcd per row: m / gcd(i, m), or m / gcd(i, j, m)."""
+    qm, qp = q - 1, q + 1
+    q2m, q2p = q * q - 1, q * q + 1
+    t1 = np.arange(1, (q - 2) // 2 + 1, dtype=np.int64)
+    t2 = np.arange(1, q // 2 + 1, dtype=np.int64)
+
+    def pairs(t):
+        rows, cols = np.triu_indices(len(t), 1)
+        return t[rows], t[cols]
+
+    def least_in_q_orbit(m):
+        i = np.arange(1, (m - 1) // 2 + 1, dtype=np.int64)
+        qi = q * i % m
+        return i[(i < qi) & (qi < m - i)]
+
+    blocks = {}
+    i, j = pairs(t1)
+    blocks["B1"] = (i, j, qm // np.gcd(np.gcd(i, j), qm))
+    i = least_in_q_orbit(q2m)
+    blocks["B2"] = (i, None, q2m // np.gcd(i, q2m))
+    i, j = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
+    blocks["B3"] = (i, j, q2m // (np.gcd(i, qm) * np.gcd(j, qp)))
+    i, j = pairs(t2)
+    blocks["B4"] = (i, j, qp // np.gcd(np.gcd(i, j), qp))
+    i = least_in_q_orbit(q2p)
+    blocks["B5"] = (i, None, q2p // np.gcd(i, q2p))
+    for family, t, m, k in (("C1", t1, qm, 1), ("C2", t1, qm, 1), ("C3", t2, qp, 1), ("C4", t2, qp, 1),
+                            ("D1", t1, qm, 2), ("D2", t1, qm, 2), ("D3", t2, qp, 2), ("D4", t2, qp, 2)):
+        blocks[family] = (t, None, k * m // np.gcd(t, m))
+    return blocks
 
 
 def phi_psi(n: int, primes) -> tuple[int, int]:

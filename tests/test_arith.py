@@ -3,6 +3,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,16 @@ def test_factorize_basics():
     assert factorize(65).pairs == ((5, 1), (13, 1))
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_rejects_non_integers():
+    # the check runs on a cache miss; a hit for 12 would return its entry
+    factorize.cache_clear()
+    for n in (12.0, 2.5, "12"):
+        with pytest.raises(TypeError):
+            factorize(n)
+    assert factorize(np.int64(12)).pairs == ((2, 2), (3, 1))
+    assert all(type(p) is int for p in factorize(np.int64(12)).primes)
 
 
 def _assert_round_trip(n):

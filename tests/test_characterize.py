@@ -6,6 +6,7 @@ from itertools import combinations, compress
 from math import isqrt, lcm, prod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -339,6 +340,18 @@ def test_characterize_wrong_nse():
     wrong = (nse_set(4) - {4335}) | {4336}
     verdict = characterize(979200, wrong)
     assert verdict.outcome == OUTCOME_HYPOTHESES_NOT_MET
+
+
+@pytest.mark.parametrize("order, extra", [(979200, 2.5), (979200, 2.0), (979200.0, 1), (84.0, 1)])
+def test_characterize_rejects_non_integers(order, extra):
+    # a float among the counts once came back as "unexpected [2.5]"
+    with pytest.raises(TypeError):
+        characterize(order, nse_set(4) | {extra})
+
+
+def test_characterize_takes_numpy_integers_as_ints():
+    verdict = characterize(np.int64(979200), {np.int64(v) for v in nse_set(4)})
+    assert verdict.outcome == OUTCOME_ISOMORPHIC and type(verdict.order) is int
 
 
 @pytest.mark.parametrize("q", [4, 8])

@@ -2,6 +2,7 @@ import hashlib
 import json
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,63 @@ def test_build_graph_equals_factoring_every_member(prime_powers, data):
     g = build_graph(spec, order)
     assert (g.vertices, g.edges, g.components, g.order_components) == \
         _graph_by_factoring_members(spec, order)
+
+
+# at most 4^4 members, each factored by the reference
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.sampled_from(_PRIME_POOL), st.integers(1, 3)), max_size=4),
+    st.data(),
+)
+def test_build_graph_equals_factoring_every_member_of_a_divisor_closed_set(prime_powers, data):
+    order = prod(p**e for p, e in dict(prime_powers).items())
+    chosen = data.draw(st.sets(st.sampled_from(divisors(order)), max_size=8))
+    spec = {d for d in divisors(order) if any(c % d == 0 for c in chosen)} | {1}
+    g = build_graph(spec, order)
+    assert (g.vertices, g.edges, g.components, g.order_components) == \
+        _graph_by_factoring_members(spec, order)
+
+
+def test_build_graph_divides_no_member_of_the_spectrum_by_every_known_prime(monkeypatch):
+    # in a divisor-closed spectrum each member but the primes arrives with its
+    # primes from its quotient by its least prime; the primes are settled by
+    # is_prime alone, and no member is divided by the known primes
+    q = 1 << 48
+    spec = set(spectrum(q))
+    divided, tested = [], []
+
+    by_division, is_prime = primegraph._primes_by_division, primegraph.is_prime
+
+    def dividing(member, known):
+        divided.append(member)
+        return by_division(member, known)
+
+    def testing(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(primegraph, "_primes_by_division", dividing)
+    monkeypatch.setattr(primegraph, "is_prime", testing)
+    g = build_graph(spec, group_order(q))
+    assert divided == []
+    assert tested == list(g.vertices) and len(g.vertices) == 16
+    # the seven orders prime_graph uses are not divisor-closed: 2(q-1), 2(q+1),
+    # q^2-1 and q^2+1 have no member quotient, and each is divided instead
+    prime_graph(q)
+    assert divided == [2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1]
+
+
+@pytest.mark.parametrize("spec, order", [({1, 6.0}, 12), ({1, 6}, 12.0), ({1, "6"}, 12)])
+def test_build_graph_rejects_non_integers(spec, order):
+    # floats once came back as the vertex 3.0 and the order component 12.0
+    with pytest.raises(TypeError):
+        build_graph(spec, order)
+
+
+def test_build_graph_takes_numpy_integers_as_ints():
+    g = build_graph({1, np.int64(2), np.int64(6)}, np.int64(12))
+    assert g == build_graph({1, 2, 6}, 12)
+    assert all(type(v) is int for v in (*g.vertices, *g.order_components))
 
 
 def test_build_graph_factors_no_new_number_above_2_64(monkeypatch):

@@ -4,7 +4,6 @@ import io
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, prod
 
 import numpy as np
@@ -215,40 +214,6 @@ def test_class_invariants(q):
             assert order % r.class_length == 0
 
 
-def _reference_class_rows(q):
-    """The class table row by row, as (family, i, j, rep_order, class_length)
-    tuples: the loop form the columnar blocks replaced."""
-    qm, qp = q - 1, q + 1
-    q2m, q2p = q * q - 1, q * q + 1
-    o4 = q**4 - 1
-    t1, t2 = range(1, (q - 2) // 2 + 1), range(1, q // 2 + 1)
-
-    def least_in_q_orbit(m):
-        return [i for i in range(1, (m - 1) // 2 + 1) if i < q * i % m < m - i]
-
-    half_len = q * q * (q * q - 1) * o4 // 2
-    rows = [("A1", None, None, 1, 1), ("A2", None, None, 2, o4), ("A31", None, None, 2, o4),
-            ("A32", None, None, 2, (q * q - 1) * o4),
-            ("A41", None, None, 4, half_len), ("A42", None, None, 4, half_len)]
-    rows += [("B1", i, j, qm // gcd(qm, i, j), q**4 * qp * qp * q2p) for i, j in combinations(t1, 2)]
-    rows += [("B2", i, None, q2m // gcd(q2m, i), q**4 * o4) for i in least_in_q_orbit(q2m)]
-    rows += [("B3", i, j, q2m // (gcd(qm, i) * gcd(qp, j)), q**4 * o4) for i in t1 for j in t2]
-    rows += [("B4", i, j, qp // gcd(qp, i, j), q**4 * qm * qm * q2p) for i, j in combinations(t2, 2)]
-    rows += [("B5", i, None, q2p // gcd(q2p, i), q**4 * q2m * q2m) for i in least_in_q_orbit(q2p)]
-    for family, params, m, k, length in (
-        ("C1", t1, qm, 1, q**3 * qp * q2p),
-        ("C2", t1, qm, 1, q**3 * qp * q2p),
-        ("C3", t2, qp, 1, q**3 * qm * q2p),
-        ("C4", t2, qp, 1, q**3 * qm * q2p),
-        ("D1", t1, qm, 2, q**3 * qp * o4),
-        ("D2", t1, qm, 2, q**3 * qp * o4),
-        ("D3", t2, qp, 2, q**3 * qm * o4),
-        ("D4", t2, qp, 2, q**3 * qm * o4),
-    ):
-        rows += [(family, i, None, k * m // gcd(m, i), length) for i in params]
-    return rows
-
-
 def _reference_csv(rows):
     """CSV of reference rows through csv.writer, indexing classes within each family."""
     buf = io.StringIO()
@@ -268,13 +233,35 @@ def _reference_csv(rows):
 def test_columnar_class_table_equals_row_reference(f):
     q = 1 << f
     table = class_table(q)
-    expected = _reference_class_rows(q)
+    expected = reference.class_rows(q)
     rows = list(table)
     assert [(r.family, r.i, r.j, r.rep_order, r.class_length) for r in rows] == expected
     assert all(type(v) is int for r in rows for v in (r.i, r.j, r.rep_order) if v is not None)
     # line lists, not two 4 MB strings: pytest's diff of long texts takes minutes
     assert class_table_csv(table).splitlines(True) == _reference_csv(expected).splitlines(True)
     assert len(table) == len(rows) == sum(family_class_count(q, fam) for fam in CLASS_FAMILIES)
+
+
+@pytest.mark.parametrize("f", range(2, 12))
+def test_class_table_orders_equal_the_per_row_gcd_reference(f):
+    expected = reference.class_blocks_by_gcd(1 << f)
+    blocks = [block for block in class_table(1 << f).blocks if block.family in expected]
+    assert [block.family for block in blocks] == list(expected)
+    for block in blocks:
+        for got, want in zip((block.i, block.j, block.rep_order), expected[block.family]):
+            assert (got is None) == (want is None), block.family
+            if got is not None:
+                assert got.dtype == want.dtype == np.int64, block.family
+                assert np.array_equal(got, want), block.family
+
+
+@settings(max_examples=200)
+@given(m=st.integers(1, 5000), data=st.data())
+def test_gcd_table_equals_math_gcd(m, data):
+    divs, index = sympl._gcd_table(m)
+    assert divs.tolist() == divisors(m) and len(index) == m
+    for r in data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=20)):
+        assert divs[index[r]] == gcd(r, m)
 
 
 def test_class_table_rejects_q_beyond_int64(monkeypatch):
