@@ -3,19 +3,19 @@
 Vertices are the primes dividing the group order; two primes are adjacent
 exactly when their product divides some element order.  Each connected
 component picks up the full prime-power part of the order for its primes,
-giving the order components whose product is the group order.  In a
-divisor-closed spectrum two primes are adjacent exactly when their product
-divides a maximal element order, so PSp4(q)'s graph is built from those.
+giving the order components whose product is the group order.  `build_graph`
+reads a divisor-closed spectrum; PSp4(q)'s graph is built from the primes of
+q-1, q+1 and q^2+1 alone.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from operator import index
 
-from .arith import _integers, factorize, is_prime, prime_divisors
+from .arith import _integers, is_prime, prime_divisors
 from .sympl import group_order
 
 __all__ = ["PrimeGraph", "build_graph", "prime_graph", "separation_check", "graph_json"]
@@ -35,29 +35,19 @@ class PrimeGraph:
         raise KeyError(f"{p} is not a vertex")
 
 
-def _primes_by_division(member: int, known: list[int]) -> list[int]:
-    """The primes of a composite member: the known ones by division, the
-    cofactor left factored (the member itself without a primality test)."""
-    primes = [p for p in known if member % p == 0]
-    rest = member
-    for p in primes:
-        while rest % p == 0:
-            rest //= p
-    if rest > 1:
-        primes.extend((rest,) if rest < member and is_prime(rest) else factorize(rest).primes)
-    return sorted(primes)
-
-
 def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGraph:
     """Prime graph from a spectrum and the group order.
 
-    The component containing 2 (when present) is listed first; the rest are
-    ordered by smallest prime.  Order components are assembled by routing each
-    prime power of the order's factorization to its prime's component.
-    Members and order must be integers (TypeError otherwise).
+    Members and order must be integers (TypeError otherwise).  ValueError
+    when the order is below 1, 1 is missing, a member does not divide the
+    order, a composite member lacks its quotient by its least prime (the set
+    is not divisor-closed), or a prime of the order is no member (a spectrum
+    holds them all, by Cauchy).
     """
     members = sorted(_integers(spec_orders))
     order = index(order)
+    if order < 1:
+        raise ValueError(f"the order {order} is not positive")
     if 1 not in members:
         raise ValueError("spectrum must contain 1")
     for s in members:
@@ -68,8 +58,7 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     # known prime p up to its least one, so a member whose quotient by its
     # least prime is a member (every member but the primes, in a
     # divisor-closed spectrum) arrives marked with its primes, and p gains
-    # the edges to the primes of s.  An unmarked member is a new prime, or,
-    # only in a set that is not divisor-closed, divided by every known prime.
+    # the edges to the primes of s.  An unmarked member must be a new prime.
     # A mark is held only until the walk reaches its member.
     top = members[-1]
     member_set = set(members)
@@ -77,19 +66,16 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     known: list[int] = []
     bits: dict[int, int] = {}
     joined: dict[int, int] = {}
-    edges = set()
     for s in members:
         mark = marks.pop(s, None)
         if mark is None:
-            support = [s] if is_prime(s) else _primes_by_division(s, known)
-            mask = 0
-            for p in support:
-                if p not in bits:
-                    bits[p], joined[p] = 1 << len(bits), 0
-                    insort(known, p)
-                mask |= bits[p]
-            edges.update(combinations(support, 2))
-            mark = (mask, support[0])
+            if not is_prime(s):
+                raise ValueError(f"spectrum member {s} is composite and its quotient by its "
+                                 "least prime is missing: the set is not divisor-closed")
+            # members come in ascending order, so s exceeds every known prime
+            bits[s], joined[s] = 1 << len(bits), 0
+            known.append(s)
+            mark = (bits[s], s)
         mask, least = mark
         for p in known:
             t = p * s
@@ -98,47 +84,53 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
             if t in member_set:
                 marks[t] = (mask | bits[p], p)
                 joined[p] |= mask
-    # the order's exponents by division; only the cofactor left needs factoring
+    # p is the least prime of each member it marked, so it joins only larger primes
+    edges = set()
+    for p, mask in joined.items():
+        mask &= ~bits[p]
+        while mask:
+            edges.add((p, known[(mask & -mask).bit_length() - 1]))
+            mask &= mask - 1
+    return _graph(order, known, edges)
+
+
+def prime_graph(q: int) -> PrimeGraph:
+    """The prime graph of PSp4(q), q even, as four cliques: {2} u pi(q-1),
+    {2} u pi(q+1), pi(q-1) u pi(q+1) and pi(q^2+1) (Vasil'ev and Vdovin,
+    Algebra and Logic 44, 2005).  Only q-1, q+1 and q^2+1 are factored."""
+    order = group_order(q)
+    below, above, odd = (prime_divisors(n) for n in (q - 1, q + 1, q * q + 1))
+    edges = set()
+    for clique in ((2, *below), (2, *above), below + above, odd):
+        edges.update(combinations(sorted(clique), 2))
+    return _graph(order, sorted({2, *below, *above, *odd}), edges)
+
+
+def _graph(order: int, primes: list[int], edges: set[tuple[int, int]]) -> PrimeGraph:
+    """The graph on the ascending primes of order, its components (2's first,
+    the rest by smallest prime) and order components; ValueError when the
+    primes leave a cofactor of order above 1."""
     fac = {}
     cofactor = order
-    for p in known:
+    for p in primes:
         e = 0
         while cofactor % p == 0:
             cofactor //= p
             e += 1
         fac[p] = e
     if cofactor > 1:
-        fac.update(factorize(cofactor))
-    vertices = tuple(sorted(fac))
-    # p is the least prime of each member it marked, so it joins only larger primes
-    prime_of_bit = sorted(bits, key=bits.get)
-    for p, mask in joined.items():
-        mask &= ~bits[p]
-        while mask:
-            edges.add((p, prime_of_bit[(mask & -mask).bit_length() - 1]))
-            mask &= mask - 1
+        raise ValueError(f"the order {order} has a prime outside the spectrum "
+                         f"(cofactor {cofactor})")
     # merge the vertex sets of each edge's ends; every vertex maps to its set
-    comp_of = {v: {v} for v in vertices}
+    comp_of = {p: {p} for p in primes}
     for a, b in edges:
         if comp_of[a] is not comp_of[b]:
             merged = comp_of[a] | comp_of[b]
             for v in merged:
                 comp_of[v] = merged
     comps = sorted({tuple(sorted(c)) for c in comp_of.values()}, key=lambda c: (2 not in c, c[0]))
-    oc = []
-    for comp in comps:
-        part = 1
-        for p in comp:
-            part *= p ** fac[p]
-        oc.append(part)
-    return PrimeGraph(vertices, tuple(sorted(edges)), tuple(comps), tuple(oc))
-
-
-def prime_graph(q: int) -> PrimeGraph:
-    """The prime graph of PSp4(q) from the maximal element orders 4, 2(q-+1),
-    q^2-1 and q^2+1 (Vasil'ev and Vdovin, Algebra and Logic 44, 2005).  1 is
-    required by build_graph; with 2 known first, 4 is never factored."""
-    return build_graph({1, 2, 4, 2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1}, group_order(q))
+    oc = tuple(prod(p ** fac[p] for p in comp) for comp in comps)
+    return PrimeGraph(tuple(primes), tuple(sorted(edges)), tuple(comps), oc)
 
 
 def separation_check(q: int) -> bool:

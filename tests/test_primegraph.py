@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp4nse.arith import divisors, factorize, prime_divisors
+from psp4nse.arith import factorize, prime_divisors
 from psp4nse import arith, primegraph
 from psp4nse.primegraph import build_graph, graph_json, prime_graph, separation_check
 from psp4nse.sympl import group_order, spectrum
@@ -52,6 +53,19 @@ def test_rejects_bad_spectrum():
         build_graph({1, 7}, 10)
     with pytest.raises(ValueError):
         build_graph({2, 5}, 10)  # missing 1
+    with pytest.raises(ValueError, match="order 0"):
+        build_graph({1, 2}, 0)  # every member divides 0; dividing 2 out of 0 never ends
+
+
+@pytest.mark.parametrize("spec, order, named", [
+    ({1, 2, 3, 5, 30}, 30, "member 30"),  # 30 is unmarked: 6, 10 and 15 are missing
+    ({1, 2, 3, 6}, 30, "order 30"),  # 5 divides the order and is no member
+    ({1, 2}, 6, "order 6"),
+    ({1}, 2, "order 2"),
+])
+def test_build_graph_rejects_a_set_that_is_no_spectrum(spec, order, named):
+    with pytest.raises(ValueError, match=named):
+        build_graph(spec, order)
 
 
 def test_two_components_all_f():
@@ -93,16 +107,18 @@ def test_graph_matches_recorded_digest(f, goldens):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == goldens[f"graph/f{f}"]
 
 
-@pytest.mark.parametrize("f", range(2, 49))
+@pytest.mark.parametrize("f", range(2, 64))
 def test_prime_graph_equals_the_full_spectrum_graph(f):
-    # p ~ p' exactly when pp' divides a maximal element order
+    # the four cliques are the graph of the whole spectrum
     q = 1 << f
     assert graph_json(prime_graph(q)) == graph_json(build_graph(set(spectrum(q)), group_order(q)))
 
 
-def _graph_by_factoring_members(spec_orders, order):
-    """The earlier build_graph: factor every member, union once per pair per member."""
-    vertices = tuple(prime_divisors(order))
+def _graph_by_factoring_members(spec_orders, exponents):
+    """The graph of the members of a set of divisors of prod(p**e) for a
+    {p: e}: factor every member over those primes, union once per pair per
+    member."""
+    vertices = tuple(sorted(exponents))
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -112,7 +128,7 @@ def _graph_by_factoring_members(spec_orders, order):
 
     edges = set()
     for member in spec_orders:
-        ps = prime_divisors(member)
+        ps = [p for p in vertices if member % p == 0]
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 edges.add((ps[i], ps[j]))
@@ -122,12 +138,17 @@ def _graph_by_factoring_members(spec_orders, order):
         groups.setdefault(find(v), []).append(v)
     comps = sorted(tuple(sorted(g)) for g in groups.values())
     comps.sort(key=lambda c: (2 not in c, c[0]))
-    fac = factorize(order)
-    oc = tuple(prod(p**e for p, e in fac if p in comp) for comp in comps)
+    oc = tuple(prod(p**exponents[p] for p in comp) for comp in comps)
     return vertices, tuple(sorted(edges)), tuple(comps), oc
 
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 31, 257, 641, 65537, 6700417, 4278255361)
+
+
+def _divisors(exponents):
+    """The divisors of prod(p**e) for a {p: e} of distinct primes, unfactored."""
+    return [prod(p**k for p, k in zip(exponents, ks))
+            for ks in product(*(range(e + 1) for e in exponents.values()))]
 
 
 @settings(max_examples=200)
@@ -136,56 +157,64 @@ _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 31, 257, 641, 65537, 6700417, 4278255361)
     st.data(),
 )
 def test_build_graph_equals_factoring_every_member(prime_powers, data):
-    order = prod(p**e for p, e in dict(prime_powers).items())
-    chosen = data.draw(st.sets(st.sampled_from(divisors(order)), max_size=40))
+    # the walk marks each composite member from its quotient by its least
+    # prime, which a divisor-closed set holds.  A set lacking such a quotient,
+    # or a prime of the order, raises; any other set gets its members' graph.
+    # Members are factored over the drawn primes, with no call of factorize.
+    exponents = dict(prime_powers)
+    primes = sorted(exponents)
+    order = prod(p**e for p, e in exponents.items())
+    chosen = data.draw(st.sets(st.sampled_from(_divisors(exponents)), max_size=40))
     spec = {1} | chosen
+    least = {s: next(p for p in primes if s % p == 0) for s in chosen - {1}}
+    if not (set(primes) <= spec and all(s // p in spec for s, p in least.items())):
+        with pytest.raises(ValueError):
+            build_graph(spec, order)
+        return
     g = build_graph(spec, order)
     assert (g.vertices, g.edges, g.components, g.order_components) == \
-        _graph_by_factoring_members(spec, order)
+        _graph_by_factoring_members(spec, exponents)
 
 
-# at most 4^4 members, each factored by the reference
+# at most 4^4 members
 @settings(max_examples=100)
 @given(
     st.lists(st.tuples(st.sampled_from(_PRIME_POOL), st.integers(1, 3)), max_size=4),
     st.data(),
 )
 def test_build_graph_equals_factoring_every_member_of_a_divisor_closed_set(prime_powers, data):
-    order = prod(p**e for p, e in dict(prime_powers).items())
-    chosen = data.draw(st.sets(st.sampled_from(divisors(order)), max_size=8))
-    spec = {d for d in divisors(order) if any(c % d == 0 for c in chosen)} | {1}
+    exponents = dict(prime_powers)
+    order = prod(p**e for p, e in exponents.items())
+    # a spectrum holds every prime of the order (Cauchy)
+    chosen = data.draw(st.sets(st.sampled_from(_divisors(exponents)), max_size=8)) | exponents.keys()
+    spec = {d for d in _divisors(exponents) if any(c % d == 0 for c in chosen)} | {1}
     g = build_graph(spec, order)
     assert (g.vertices, g.edges, g.components, g.order_components) == \
-        _graph_by_factoring_members(spec, order)
+        _graph_by_factoring_members(spec, exponents)
 
 
 def test_build_graph_divides_no_member_of_the_spectrum_by_every_known_prime(monkeypatch):
     # in a divisor-closed spectrum each member but the primes arrives with its
-    # primes from its quotient by its least prime; the primes are settled by
-    # is_prime alone, and no member is divided by the known primes
+    # primes from its quotient by its least prime; only the primes meet
+    # is_prime, and no member is divided by the known primes
     q = 1 << 48
     spec = set(spectrum(q))
-    divided, tested = [], []
-
-    by_division, is_prime = primegraph._primes_by_division, primegraph.is_prime
-
-    def dividing(member, known):
-        divided.append(member)
-        return by_division(member, known)
+    tested = []
+    is_prime = primegraph.is_prime
 
     def testing(n):
         tested.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(primegraph, "_primes_by_division", dividing)
     monkeypatch.setattr(primegraph, "is_prime", testing)
     g = build_graph(spec, group_order(q))
-    assert divided == []
     assert tested == list(g.vertices) and len(g.vertices) == 16
-    # the seven orders prime_graph uses are not divisor-closed: 2(q-1), 2(q+1),
-    # q^2-1 and q^2+1 have no member quotient, and each is divided instead
-    prime_graph(q)
-    assert divided == [2 * (q - 1), 2 * (q + 1), q * q - 1, q * q + 1]
+
+
+def test_build_graph_reads_a_set_whose_every_member_has_its_least_prime_quotient():
+    # 12 arrives marked from 6: the walk cannot see that 4 is missing, and the
+    # graph is still the members' graph
+    assert build_graph({1, 2, 3, 6, 12}, 12) == build_graph({1, 2, 3, 4, 6, 12}, 12)
 
 
 @pytest.mark.parametrize("spec, order", [({1, 6.0}, 12), ({1, 6}, 12.0), ({1, "6"}, 12)])
@@ -196,17 +225,18 @@ def test_build_graph_rejects_non_integers(spec, order):
 
 
 def test_build_graph_takes_numpy_integers_as_ints():
-    g = build_graph({1, np.int64(2), np.int64(6)}, np.int64(12))
-    assert g == build_graph({1, 2, 6}, 12)
+    g = build_graph({1, np.int64(2), np.int64(3), np.int64(6)}, np.int64(12))
+    assert g == build_graph({1, 2, 3, 6}, 12)
     assert all(type(v) is int for v in (*g.vertices, *g.order_components))
 
 
 def test_build_graph_factors_no_new_number_above_2_64(monkeypatch):
-    # spectrum has factored q-1, q+1 and q^2+1; build_graph settles each new
-    # prime member with is_prime, and those primes leave the order no cofactor
+    # from a cold cache, prime_graph factors q-1, q+1 and q^2+1 and nothing
+    # else; spectrum factors the same three, and build_graph settles each new
+    # prime member with is_prime, so those primes leave the order no cofactor
     q = 1 << 40
+    factorize.cache_clear()
     spectrum.cache_clear()
-    spec = set(spectrum(q))
     missed = []
 
     def counting(n):
@@ -218,7 +248,10 @@ def test_build_graph_factors_no_new_number_above_2_64(monkeypatch):
 
     # prime_divisors reaches factorize through the arith module
     monkeypatch.setattr(arith, "factorize", counting)
-    monkeypatch.setattr(primegraph, "factorize", counting)
+    prime_graph(q)
+    assert sorted(missed) == [q - 1, q + 1, q * q + 1]
+    spec = set(spectrum(q))
+    missed.clear()
     g = build_graph(spec, group_order(q))
-    assert [n for n in missed if n >= 2**64] == []
+    assert missed == []
     assert g.order_components == (group_order(q) // (q * q + 1), q * q + 1)
