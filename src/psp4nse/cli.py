@@ -1,8 +1,8 @@
 """Command-line front end: compute invariants, run the oracle, characterize.
 
-Exit codes: 0 success; 1 a compare, selftest or example-84 failure, or the
-oracle element budget (CapacityExceeded); 2 a configuration or input error,
-argparse usage errors included.
+Exit codes: 0 success; 1 a compare, selftest or example-84 failure, the
+oracle element budget (CapacityExceeded) or memory (MemoryError); 2 a
+configuration or input error, argparse usage errors included.
 All emitted JSON/CSV carries big integers as decimal strings and deterministic
 key ordering, so outputs are usable as golden files.
 """
@@ -268,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "catalan":
             return _cmd_catalan(args)
         return _cmd_selftest()
-    except oracle.CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (oracle.CapacityExceeded, MemoryError) as exc:  # the two resource limits
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

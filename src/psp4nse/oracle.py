@@ -18,11 +18,12 @@ shifts and masks on the whole key b, once per b.  Each set of right
 multipliers (the generators, a stabilizer's generators, the coset
 representatives) gets its scaled rows once and is broadcast against all
 keys, and the power chains of the order histogram, which look up only the
-generators of each cyclic subgroup, reuse them along each chain.
+generators of each cyclic subgroup, reuse them along each chain.  An order
+is held in the narrowest unsigned word of q^4 - 1, uint8 at q = 4.
 
 Sp4(4) (979,200 elements: an orbit of 255 points times a stabilizer of
-order 3840) enumerates in about 0.04 s and its histogram takes about 0.2 s
-on a 2-vCPU x86-64 host.
+order 3840) enumerates in about 0.02 s and its histogram takes about 0.2 s
+on a 2-vCPU x86-64 host; the two raise a process's peak RSS by about 11 MB.
 
 For even q the symplectic group is already simple modulo nothing: the center
 is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 _ORDER_BATCH = 1 << 14
+# the most coset keys enumerate_group makes in one product, while it fills its coset array
+_COSET_BLOCK = 1 << 16
 # the most elements sp4_group enumerates unless told otherwise (Sp4(4) has 979,200)
 DEFAULT_MAX_ENUM = 2_000_000
 # the most elements the permutation engine closes; read at call time
@@ -181,6 +184,12 @@ def _key_dtype(spec: FieldSpec) -> np.dtype:
     return np.dtype(f"u{np.min_scalar_type((1 << (16 * spec.f)) - 1).itemsize}")
 
 
+def _order_dtype(spec: FieldSpec) -> np.dtype:
+    """The narrowest unsigned word that holds q^4 - 1, the largest order of an
+    invertible 4x4 matrix over GF(q): uint8 at q <= 4, uint16 at q = 8 and 16."""
+    return np.min_scalar_type(spec.order**4 - 1)
+
+
 def _keys(spec: FieldSpec, mats: list[Mat4]) -> np.ndarray:
     """The packed keys of the matrices, in the key word of the spec."""
     return np.array([m.packed() for m in mats], dtype=_key_dtype(spec))
@@ -229,13 +238,19 @@ def _kmul(spec: FieldSpec, a: np.ndarray, b) -> np.ndarray:
     return _smul(spec, a, _scaled_rows(spec, b))
 
 
+class _Cosets(np.ndarray):
+    """Keys of the spec's key word that enumerate_group made and keeps no other
+    reference to: EnumeratedGroup takes them over without a copy."""
+
+
 @dataclass(frozen=True, eq=False)
 class EnumeratedGroup:
     """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys.
 
     The keys are copied into a read-only array of the spec's key word, so the
-    order histogram that order_histogram stores on the group cannot go stale.
-    A key outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast.
+    order histogram that order_histogram stores on the group cannot go stale;
+    only the cosets of enumerate_group are taken over as they are.  A key
+    outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast.
     """
 
     spec: FieldSpec
@@ -245,7 +260,7 @@ class EnumeratedGroup:
         given, bits = np.asarray(self.keys), 16 * self.spec.f
         if given.size and not 0 <= int(given.min()) <= int(given.max()) < 1 << bits:
             raise ValueError(f"group keys must lie in 0..2^{bits} - 1")
-        keys = given.astype(_key_dtype(self.spec))
+        keys = given.astype(_key_dtype(self.spec), copy=not isinstance(self.keys, _Cosets))
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("group keys must be strictly increasing")
         keys.flags.writeable = False
@@ -264,9 +279,12 @@ class EnumeratedGroup:
     @cached_property
     def _histogram(self) -> OrderHistogram:
         orders = _element_orders(self.spec, self.keys, len(self) + 1)
-        # np.bincount would first copy the int32 orders to intp
-        values, counts = np.unique(orders, return_counts=True)
-        return OrderHistogram(dict(zip(values.tolist(), counts.tolist())))
+        # np.bincount copies its input to intp, and np.unique sorts uint8
+        # orders 4x slower than int32 ones: count one batch at a time
+        counts = np.zeros(int(orders.max(initial=0)) + 1, dtype=np.int64)
+        for i in range(0, len(orders), _ORDER_BATCH):
+            counts += np.bincount(orders[i : i + _ORDER_BATCH], minlength=len(counts))
+        return OrderHistogram({k: c for k, c in enumerate(counts.tolist()) if c})
 
 
 def _identity_key(spec: FieldSpec) -> np.unsignedinteger:
@@ -323,6 +341,9 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     t_{v*s}^-1 = s^-1 * t_v^-1 along its parents; H is the search over the
     key itself.
 
+    The cosets are made about _COSET_BLOCK keys at a time into one array,
+    sorted in place and handed to the group without a copy.
+
     Raises CapacityExceeded when the orbit, H or |G| = |orbit| * |H| exceeds
     cap, before any coset is formed; ValueError for a generator that is not
     invertible and for matrices over fields larger than GF(16).
@@ -362,9 +383,15 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
         stab, _ = _search(spec, chosen_rows, lambda keys: keys, cap)
     if len(trans) * len(stab) > cap:
         raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-    cosets = _smul(spec, stab[None, :], _scaled_rows(spec, trans[:, None])).reshape(-1)
+    trans_rows = _scaled_rows(spec, trans[:, None])
+    cosets = np.empty((len(trans), len(stab)), dtype=gens.dtype)
+    step = max(1, _COSET_BLOCK // len(stab))
+    for i in range(0, len(trans), step):
+        cosets[i : i + step] = _smul(spec, stab[None, :], trans_rows[:, i : i + step])
+    cosets = cosets.reshape(-1)
     cosets.sort()
-    return EnumeratedGroup(spec, cosets)
+    cosets.flags.writeable = False  # the group's keys share this buffer
+    return EnumeratedGroup(spec, cosets.view(_Cosets))
 
 
 _SP4_CACHE: dict[int, EnumeratedGroup] = {}
@@ -414,54 +441,66 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
     identity among them, get chains of their own in later batches, which
     are short.  Powers outside the keys are skipped, so a key set that is not
     closed gets the same orders as a chain per key.
+
+    Orders are held in _order_dtype(spec).  Each batch runs in _order_batch,
+    so its temporaries are freed before the next batch makes its own.
     """
-    ident = _identity_key(spec)
-    orders = np.zeros(len(keys), dtype=np.int32)
+    orders = np.zeros(len(keys), dtype=_order_dtype(spec))
     start, window = 0, 4 * _ORDER_BATCH
     while start < len(keys):
         batch = np.flatnonzero(orders[start : start + window] == 0)[:_ORDER_BATCH] + start
         start = int(batch[-1]) + 1 if len(batch) == _ORDER_BATCH else start + window
-        if not len(batch):
-            continue
-        chain_orders = np.zeros(len(batch), dtype=orders.dtype)
-        powers, owners = [], []  # g^j, j >= 2, not yet the identity, and the index of g
-        idx = np.arange(len(batch))
-        cur = keys[batch]
-        scaled = _scaled_rows(spec, cur)  # a chain's base is fixed
-        for j in range(1, bound + 1):
-            done = cur == ident
-            if done.any():
-                chain_orders[idx[done]] = j
-                keep = ~done
-                idx, cur, scaled = idx[keep], cur[keep], scaled[:, keep]
-                if not len(idx):
-                    break
-            if j > 1:
-                powers.append(cur)
-                owners.append(idx)
-            cur = _smul(spec, cur, scaled)
-        else:
-            raise RuntimeError(f"element order exceeds bound {bound}")
-        orders[batch] = chain_orders
-        if not powers:
-            continue
-        # coprime[j, u]: gcd(j, k) = 1 for the u-th distinct chain order k
-        ks, which = np.unique(chain_orders, return_inverse=True)
-        coprime = np.gcd.outer(np.arange(len(powers) + 2), ks) == 1
-        owner = np.concatenate(owners)
-        step = np.repeat(np.arange(2, len(powers) + 2), [len(o) for o in owners])
-        marked = coprime[step, which[owner]]
-        power = np.concatenate(powers)[marked]
-        power_orders = chain_orders[owner[marked]]
-        by_key = np.argsort(power)
-        power, power_orders = power[by_key], power_orders[by_key]
-        # two chains of one cyclic subgroup in a batch mark the same powers
-        first = np.concatenate(([True], power[1:] != power[:-1]))
-        power, power_orders = power[first], power_orders[first]
-        pos = np.minimum(np.searchsorted(keys, power), len(keys) - 1)
-        hit = keys[pos] == power
-        orders[pos[hit]] = power_orders[hit]
+        if len(batch):
+            _order_batch(spec, keys, bound, orders, batch)
     return orders
+
+
+def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarray,
+                 batch: np.ndarray) -> None:
+    """Write into orders the order of each key at the positions batch, and that
+    order at each marked power of the key among the sorted keys."""
+    ident = _identity_key(spec)
+    chain_orders = np.zeros(len(batch), dtype=orders.dtype)
+    powers, owners = [], []  # g^j, j >= 2, not yet the identity, and the index of g
+    idx = np.arange(len(batch))
+    cur = keys[batch]
+    scaled = _scaled_rows(spec, cur)  # a chain's base is fixed
+    for j in range(1, bound + 1):
+        done = cur == ident
+        if done.any():
+            chain_orders[idx[done]] = j
+            keep = ~done
+            idx, cur, scaled = idx[keep], cur[keep], scaled[:, keep]
+            if not len(idx):
+                break
+        if j > 1:
+            powers.append(cur)
+            owners.append(idx)
+        cur = _smul(spec, cur, scaled)
+    else:
+        raise RuntimeError(f"element order exceeds bound {bound}")
+    orders[batch] = chain_orders
+    if not powers:
+        return
+    # g^j generates <g> when gcd(j, k) = 1 for the order k of g: keep only
+    # those, and drop each full-length list before the next array of its size
+    marked_orders = []
+    for i, owner in enumerate(owners):
+        k = chain_orders[owner]
+        coprime = np.gcd(k, i + 2) == 1
+        powers[i] = powers[i][coprime]
+        marked_orders.append(k[coprime])
+    del owners
+    power, power_orders = np.concatenate(powers), np.concatenate(marked_orders)
+    del powers, marked_orders
+    by_key = np.argsort(power)
+    power, power_orders = power[by_key], power_orders[by_key]
+    # two chains of one cyclic subgroup in a batch mark the same powers
+    first = np.concatenate(([True], power[1:] != power[:-1]))
+    power, power_orders = power[first], power_orders[first]
+    pos = np.minimum(np.searchsorted(keys, power), len(keys) - 1)
+    hit = keys[pos] == power
+    orders[pos[hit]] = power_orders[hit]
 
 
 def order_histogram(group: EnumeratedGroup) -> OrderHistogram:

@@ -211,6 +211,22 @@ def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
         assert "closure exceeded cap of 2000000 elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 3.74 MiB"), "error: Unable to allocate 3.74 MiB\n"),
+])
+def test_oracle_out_of_memory_exits_1_in_one_line(tmp_path, monkeypatch, capsys, sp44, exc,
+                                                  message):
+    # memory is a resource limit like the element budget: exit 1, no traceback
+    def no_memory(group):
+        raise exc
+
+    monkeypatch.setattr(oracle, "order_histogram", no_memory)
+    assert cli.main(["oracle", "--q", "4", "--compare", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == message and "Traceback" not in err
+
+
 def test_oracle_without_args_errors(tmp_path, capsys):
     out = tmp_path / "D"
     assert run_cli(["oracle", "--out", str(out)]) == 2

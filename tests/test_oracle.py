@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -273,6 +274,33 @@ def test_keys_stay_in_the_narrowest_word_of_16f_bits(f, word):
     assert table.dtype == word and sorted(table[5].tolist()) == keys.tolist()
 
 
+@pytest.mark.parametrize("f, word", [(1, np.uint8), (2, np.uint8), (3, np.uint16),
+                                     (4, np.uint16)])
+def test_orders_stay_in_the_narrowest_word_of_q4_minus_1(f, word):
+    spec = FieldSpec.for_degree(f)
+    gens = [_perm_matrix(spec, (1, 0, 2, 3)), _perm_matrix(spec, (1, 2, 3, 0))]
+    keys = enumerate_group(gens, cap=24).keys
+    orders = _element_orders(spec, keys, len(keys) + 1)
+    assert orders.dtype == word
+    assert np.array_equal(orders, _chain_orders(spec, keys))
+
+
+_SINGER_ROWS = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 2, 1, 0]]
+
+
+def test_sp44_and_singer_cycle_orders_fit_uint8(sp44):
+    # a Singer cycle of GL4(4) has order q^4 - 1 = 255, the largest uint8
+    singer = Mat4.from_rows(sp44.spec, _SINGER_ROWS)
+    for keys in (sp44.keys, enumerate_group([singer], cap=255).keys):
+        orders = _element_orders(sp44.spec, keys, len(keys) + 1)
+        assert orders.dtype == np.uint8
+        # a chain per key, 2^16 keys at a time
+        want = [_chain_orders(sp44.spec, keys[i : i + (1 << 16)])
+                for i in range(0, len(keys), 1 << 16)]
+        assert np.array_equal(orders, np.concatenate(want))
+    assert orders.max() == 255
+
+
 _SMALL_CAP = 400
 
 
@@ -410,7 +438,7 @@ def test_singer_cycle_reaches_the_order_bound():
     # 254th power, and it is transitive on the nonzero vectors, so the orbit
     # of e1 is the whole group
     spec = FieldSpec.for_degree(2)
-    singer = Mat4.from_rows(spec, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 2, 1, 0]])
+    singer = Mat4.from_rows(spec, _SINGER_ROWS)
     ident = Mat4.identity(spec)
     power = singer
     for _ in range(253):
@@ -518,6 +546,32 @@ def test_singular_matrix_hits_order_bound(rows):
         order_histogram(EnumeratedGroup(spec, keys))
 
 
+def test_enumerated_cosets_are_taken_over_checked_and_read_only(monkeypatch):
+    # enumerate_group hands its sorted cosets to EnumeratedGroup without a
+    # copy; they pass the same range and order checks as a caller's keys
+    handed = []
+
+    def recorded(spec, keys):
+        handed.append(keys)
+        return EnumeratedGroup(spec, keys)
+
+    monkeypatch.setattr(oracle, "EnumeratedGroup", recorded)
+    spec = FieldSpec.for_degree(3)  # 48-bit keys in uint64: a key can lie out of range
+    gens = [_perm_matrix(spec, (1, 0, 2, 3)), _perm_matrix(spec, (1, 2, 3, 0))]
+    group = enumerate_group(gens, cap=24)
+    (cosets,) = handed
+    assert type(group.keys) is np.ndarray and np.shares_memory(group.keys, cosets)
+    assert not cosets.flags.writeable and not group.keys.flags.writeable
+    unsorted, wide = cosets.copy(), cosets.copy()  # copies keep the handed-over type
+    unsorted[[0, 1]] = unsorted[[1, 0]]
+    wide[-1] = 1 << 48
+    for bad, message in ((unsorted, "strictly increasing"), (wide, r"must lie in 0..2\^48 - 1")):
+        assert type(bad) is type(cosets)
+        for keys in (bad, np.array(bad)):  # taken over, and a caller's plain array
+            with pytest.raises(ValueError, match=message):
+                EnumeratedGroup(spec, keys)
+
+
 def test_enumerated_group_is_immutable():
     gens = sp4_generators(4)
     source = enumerate_group([gens[4], gens[5]], cap=100).keys.copy()
@@ -545,7 +599,9 @@ _HISTOGRAM_PEAK_GROWTH = """
 import resource
 from psp4nse.oracle import order_histogram, sp4_group
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-order_histogram(sp4_group(4))
+group = sp4_group(4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+order_histogram(group)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
@@ -556,13 +612,37 @@ _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).retur
 
 
 def test_sp44_enumeration_and_histogram_peak_memory():
-    # the peak grew by 27.6 MB on uint64 keys with a sorted copy of the cosets
-    # and int64 orders, and by 17.9 MB since
+    # the peak grew by 27.6 MiB on uint64 keys with a sorted copy of the cosets
+    # and int64 orders, by 19.4 MiB (10.4 MiB of it enumerating) on uint32
+    # keys, int32 orders and a copy of the cosets, and by 9.6-11.3 MiB (6.1-6.7 MiB) since
     src = Path(oracle.__file__).resolve().parents[1]
     argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", _HISTOGRAM_PEAK_GROWTH]
     run = subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
                          timeout=120, check=True)
-    assert int(run.stdout) < 22 * 1024  # ru_maxrss is in KiB
+    enumerated, total = map(int, run.stdout.split())  # ru_maxrss is in KiB
+    assert enumerated < 8 * 1024
+    assert total < 12 * 1024
+
+
+def test_sp44_enumeration_and_orders_traced_peaks(sp44):
+    # tracemalloc counts the arrays the code allocates, not the heap they land
+    # in: enumerating peaked at 8.5 MiB (a product of every coset at once, its
+    # term buffer and the group's copy of the cosets) and the orders at
+    # 11.6 MiB (int32 orders, and two batches' temporaries alive at once)
+    # before they fell to 4.8 and 4.3 MiB
+    gens = sp4_generators(4)
+    tracemalloc.start()
+    try:
+        enumerate_group(gens, cap=len(sp44))
+        enumerated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+        ordered = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert enumerated < 5.5 * 2**20
+    assert ordered < 4.75 * 2**20
 
 
 def test_histogram_computed_once_per_group(sp44, sp44_hist):
