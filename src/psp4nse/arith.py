@@ -10,6 +10,13 @@ the prime-power equation p^m = q^n + 1, validation of q = 2^f > 2, and the
 five divisibility predicates about q^4(q^4-1)(q^2-1) that `psp4nse selftest`
 and the acceptance suite check (the case rows evaluate those clauses).
 
+Two integer searches serve the rest of the package: `nth_root`, the floor of
+a k-th root (isqrt for k = 2, else integer Newton from above, O(log) steps),
+and `last_within`, the largest x with fn(x) <= bound for an increasing fn,
+galloping from a lower end or from a start point near the answer; the case
+table of `characterize` starts each of its searches at nth_root(target,
+degree).
+
 All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
 2^62 in the prime-counting table; nothing here ever goes through floats.
 Primality below 2^64 is deterministic Miller-Rabin; above it the test is
@@ -490,16 +497,32 @@ def divisibility_predicates(q: int) -> dict[str, DivisibilityCheck]:
     return {label: DivisibilityCheck.of(label, dividend, d) for label, d in values}
 
 
-def last_within(fn, bound: int, lo: int = 1) -> int:
+def last_within(fn, bound: int, lo: int = 1, start: int | None = None) -> int:
     """The largest x >= lo with fn(x) <= bound, for increasing fn with fn(lo) <= bound.
 
-    Gallops from lo with doubling power-of-two steps until fn passes bound,
-    then halves the step down to 1, keeping each step that stays within bound.
+    fn(lo) is never evaluated, so the result is lo when fn(lo + 1) > bound.
+    Without start, gallops from lo with doubling power-of-two steps until fn
+    passes bound, then halves the step down to 1, keeping each step that stays
+    within bound.  With start, the search begins there: from a start within
+    bound it gallops up with steps 1, 2, 4, ...; from one above bound it walks
+    down in steps 1, 2, 4, ... (never below lo) to a point within bound.
+    Either way it then halves back, so the cost grows with the log of the
+    distance from start to the answer, and the answer is the same.
     """
-    step = 1 << (lo.bit_length() - 1)
-    while fn(lo + step) <= bound:
-        lo += step
-        step <<= 1
+    if start is not None and start > lo and fn(start) > bound:
+        # walk down to a point within bound, or to lo; then lo + step >= top
+        top, step = start, 1
+        while (x := max(top - step, lo)) > lo and fn(x) > bound:
+            top, step = x, step << 1
+        lo = x
+    else:
+        if start is None:
+            step = 1 << max(lo.bit_length() - 1, 0)
+        else:
+            lo, step = max(start, lo), 1
+        while fn(lo + step) <= bound:
+            lo += step
+            step <<= 1
     while step > 1:
         step >>= 1
         if fn(lo + step) <= bound:
@@ -508,11 +531,22 @@ def last_within(fn, bound: int, lo: int = 1) -> int:
 
 
 def nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0 (exact integer arithmetic)."""
+    """Floor of the k-th root of n >= 0 (exact integer arithmetic).
+
+    isqrt for k = 2.  For k >= 3, integer Newton from above: from the power of
+    two 2^ceil(b/k) >= n^(1/k), b the bit length of n, each step
+    x -> ((k-1) x + n // x^(k-1)) // k stays at or above the floor of the root
+    (AM-GM) and falls strictly while x is above it, so the first step that
+    does not fall stops at the floor.  Non-integer arguments raise TypeError.
+    """
+    n, k = index(n), index(k)
     if n < 0 or k < 1:
         raise ValueError(f"nth_root requires n >= 0, k >= 1, got {n}, {k}")
     if k == 1 or n < 2:
         return n
-    # 2^((b-1)//k) has k-th power at most 2^(b-1) <= n and its double is above the root;
-    # k.__rpow__ is x -> x**k without a Python frame per step
-    return last_within(k.__rpow__, n, 1 << ((n.bit_length() - 1) // k))
+    if k == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x

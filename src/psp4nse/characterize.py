@@ -204,9 +204,29 @@ def _bounded_params(params, order_fn, bound):
     return list(takewhile(lambda p: order_fn(p) <= bound, params))
 
 
+def _last_at_most(fn, bound, degree):
+    """The largest x >= 2 with fn(x) <= bound, or 1 when there is none, for
+    fn increasing in x with leading term of the given degree.
+
+    The search starts at nth_root(bound, degree), within a few units of the
+    answer: it walks down in doubling steps while fn is above bound, then
+    gallops up.  A wrong degree costs evaluations, never a wrong answer.
+    """
+    return last_within(fn, bound, 1, nth_root(bound, degree))
+
+
 def _pp_candidates(bound, order_fn, keep):
-    """Prime powers x >= 2 with order_fn(x) <= bound that pass keep."""
-    return [x for x in _bounded_params(count(2), order_fn, bound) if is_prime_power(x) and keep(x)]
+    """Prime powers x that pass keep in the run x = 2, 3, ... with order_fn(x) <= bound.
+
+    order_fn(x) times its centre, the order before the quotient, is increasing
+    in x, so the run reaches at least to its last x within bound; from there it
+    goes on one x at a time while order_fn(x) stays within bound.
+    """
+    centre = _CENTRES[order_fn]
+    last = _last_at_most(lambda x: order_fn(x) * centre(x), bound, _ORDER_DEGREES[order_fn])
+    while order_fn(last + 1) <= bound:
+        last += 1
+    return [x for x in range(2, last + 1) if is_prime_power(x) and keep(x)]
 
 
 @dataclass(frozen=True)
@@ -234,12 +254,10 @@ def _prime_powers_upto(bound):
     return _PrimePowers(bound, last, count)
 
 
-def _solve_increasing(fn, target):
-    """The integer x >= 2 with fn(x) == target, for strictly increasing fn."""
-    if fn(2) > target:
-        return None
-    x = last_within(fn, target, 2)
-    return x if fn(x) == target else None
+def _solve_increasing(fn, target, degree):
+    """The integer x >= 2 with fn(x) == target, for strictly increasing fn of the given degree."""
+    x = _last_at_most(fn, target, degree)
+    return x if x > 1 and fn(x) == target else None
 
 
 def _is_square(n: int) -> bool:
@@ -395,14 +413,17 @@ def _solve_pp(family, label, order_fn, components):
     """The prime powers q' with |label(q')| <= |G| and some component value
     equal to q^2+1.
 
-    Each component is strictly increasing in q', so each gives at most one
-    root by bisection; the parameter set is counted, not listed.
+    Each component, a (polynomial, degree) pair, is strictly increasing in q',
+    so each gives at most one root, searched for from its nth_root estimate;
+    the parameter set is counted, not listed.
     """
     def hits(g, xs):
-        roots = {_solve_increasing(c, g.n2) for c in components}
+        roots = {_solve_increasing(c, g.n2, degree) for c, degree in components}
         return sorted(x for x in roots if x is not None and x in xs)
     return _Case(family, f"{label}(q')", hits, _qprime_order(label, order_fn), AN_ORDER_DIV,
-                 miss=_no_hit(), params=lambda g: _prime_powers_upto(last_within(order_fn, g.go)))
+                 miss=_no_hit(),
+                 params=lambda g: _prime_powers_upto(
+                     _last_at_most(order_fn, g.go, _ORDER_DEGREES[order_fn])))
 
 
 def _dims(order_fn, stream=_odd_primes):
@@ -468,18 +489,21 @@ def _suzuki_kill(g, x):
             f"q'={x}: {s_plus} divides no candidate count phi(r)q^4(q^2-1)^2/4 with r | {x - rt + 1}")
 
 
-def _roots(quotient, scales, accept):
-    """The hits (n, q') over the dimensions n with quotient(q', n) = d (q^2+1)
-    for a scale d in scales(n), accept(n, q', d) and q' a prime power.
+def _roots(quotient, scales, accept, exponent=lambda n: n):
+    """The hits (n, q') over the dimensions n with quotient(q', m) = d (q^2+1),
+    m = exponent(n), for a scale d in scales(n), accept(n, q', d) and q' a
+    prime power.
 
-    For each dimension the quotient is strictly increasing in q', so each
-    scale gives at most one q', found by bisection.
+    For each dimension the quotient is strictly increasing in q', of degree
+    m - 1, so each scale gives at most one q', searched for from its nth_root
+    estimate.
     """
     def hits(g, dims):
         out = []
         for n in dims:
+            m = exponent(n)
             for d in scales(n):
-                x = _solve_increasing(lambda y, n=n: quotient(y, n), g.n2 * d)
+                x = _solve_increasing(lambda y, m=m: quotient(y, m), g.n2 * d, m - 1)
                 if x is not None and accept(n, x, d) and is_prime_power(x):
                     out.append((n, x))
         return out
@@ -661,9 +685,22 @@ def _dminus_two_kill(g, p):
     return NEEDS_MANUAL_LEMMA, f"p={p}: product case holds numerically"
 
 
-# the products of one or more of Phi15, Phi20, Phi24, Phi30
+# The polynomials in q' that the case table searches, each beside its degree:
+# the orders it bounds, and the components of the solved rows as
+# (polynomial, degree) pairs.
+_ORDER_DEGREES = {fam.order_G2: 14, fam.order_3D4: 28, fam.order_F4: 52,
+                  fam.order_E6: 78, fam.order_2E6: 78, fam.order_E8: 248}
+# |E6(q')| and |2E6(q')| are divided by their centres, gcd(3, q' -+ 1), and so
+# are not monotone in q': |E6(73)| < |E6(72)| and |2E6(74)| < |2E6(73)|
+_CENTRES = {fam.order_E6: lambda x: gcd(3, x - 1), fam.order_2E6: lambda x: gcd(3, x + 1)}
+_G2_COMPONENTS = ((lambda x: cyclotomic_eval(3, x), 2), (lambda x: cyclotomic_eval(6, x), 2),
+                  (lambda x: cyclotomic_eval(3, x * x), 4))
+_3D4_COMPONENTS = ((lambda x: cyclotomic_eval(12, x), 4),)
+_F4_COMPONENTS = ((lambda x: x**4 + 1, 4), (lambda x: x**4 - x * x + 1, 4),
+                  (lambda x: x**8 - x**6 + 2 * x**4 - x * x + 1, 8))
+# the products of one or more of Phi15, Phi20, Phi24, Phi30, each of degree 8
 _E8_COMPONENTS = tuple(
-    lambda x, ks=ks: prod(cyclotomic_eval(k, x) for k in ks)
+    (lambda x, ks=ks: prod(cyclotomic_eval(k, x) for k in ks), 8 * len(ks))
     for n in range(1, 5) for ks in combinations((15, 20, 24, 30), n)
 )
 
@@ -700,18 +737,14 @@ _CASES: tuple[_Case, ...] = (
           lambda g, xs: [x for x in xs if g.n2 in _suzuki_values(x)], _suzuki_kill, AN_SYLOW,
           miss=_no_hit(), params=_dims(fam.order_2B2, lambda: (2**e for e in count(3, 2))),
           empty="no candidate parameter: |2B2(8)| already exceeds |G|"),
-    _solve_pp("Exceptional", "G2", fam.order_G2,
-              (lambda x: cyclotomic_eval(3, x), lambda x: cyclotomic_eval(6, x),
-               lambda x: cyclotomic_eval(3, x * x))),
-    _solve_pp("Exceptional", "3D4", fam.order_3D4, (lambda x: cyclotomic_eval(12, x),)),
+    _solve_pp("Exceptional", "G2", fam.order_G2, _G2_COMPONENTS),
+    _solve_pp("Exceptional", "3D4", fam.order_3D4, _3D4_COMPONENTS),
     _scan("Exceptional", "2G2(q')",
           _dims(fam.order_2G2, lambda: (3**e for e in count(3, 2))),
           lambda x: (twisted_cyclotomic_eval(6, 1, x), twisted_cyclotomic_eval(6, -1, x),
                      cyclotomic_eval(6, x)),
           _qprime_order("2G2", fam.order_2G2)),
-    _solve_pp("Exceptional", "F4", fam.order_F4,
-              (lambda x: x**4 + 1, lambda x: x**4 - x * x + 1,
-               lambda x: x**8 - x**6 + 2 * x**4 - x * x + 1)),
+    _solve_pp("Exceptional", "F4", fam.order_F4, _F4_COMPONENTS),
     _scan("Exceptional", "2F4(q')",
           _dims(fam.order_2F4, lambda: (2**e for e in count(3, 2))),
           lambda x: (twisted_cyclotomic_eval(12, 1, x), twisted_cyclotomic_eval(12, -1, x),
@@ -779,8 +812,8 @@ _CASES: tuple[_Case, ...] = (
     _small_pair("PSU", "PSU", (5, 7, 11, 77),
                 "PSU4(2)", fam.psu_order(4, 2), "PSU6(2)", fam.psu_order(6, 2)),
     _Case("PSU", "PSUn(q'), n = p or p+1",
-          _roots(lambda y, s: _psu_quotient(y, s[1]), lambda s: (1,),
-                 lambda s, x, d: s[0] == "n=p+1" or gcd(x + 1, s[1]) == 1),
+          _roots(_psu_quotient, lambda s: (1,),
+                 lambda s, x, d: s[0] == "n=p+1" or gcd(x + 1, s[1]) == 1, exponent=lambda s: s[1]),
           _psu_kill, AN_ORDER_DIV,
           miss=lambda g, shapes: _no_root("p")(g, sorted({p for _, p in shapes})),
           params=_psu_shapes, empty="no dimension: |PSU3(2)| already exceeds |G|"),

@@ -5,8 +5,9 @@ package path kept as the second side of a differential test: the spectrum
 from all five moduli, the class table row by row and its representatives'
 orders by one np.gcd per row, the per-family CSV writer, the per-order count
 dispatcher with phi and psi by trial division over the order primes, trial
-division one sieve prime at a time, the byte-array sieve, and the
-divide-out recursion for cyclotomic values.  No package module calls them,
+division one sieve prime at a time, the byte-array sieve, the
+divide-out recursion for cyclotomic values, and the linear scan of a
+parameter run q' = 2, 3, ... that the case table's searches replace.  No package module calls them,
 so they live beside the checks that do.
 """
 
@@ -314,3 +315,12 @@ def cyclotomic_by_division(n: int, x: int) -> int:
         value, rem = divmod(value, cyclotomic_by_division(d, x))
         assert rem == 0, (n, x, d)
     return value
+
+
+def scanned_run(fn, bound: int) -> list[int]:
+    """The run x = 2, 3, ... while fn(x) <= bound, one x at a time: the
+    parameters a case row considers, read without any search."""
+    run = []
+    while fn(x := len(run) + 2) <= bound:
+        run.append(x)
+    return run

@@ -379,7 +379,7 @@ def test_misc_helpers():
 
 
 @settings(max_examples=300)
-@given(st.integers(0, 2**300 - 1), st.integers(1, 80))
+@given(st.integers(0, 2**4096 - 1), st.integers(1, 200))
 def test_nth_root_brackets_the_root(n, k):
     r = nth_root(n, k)
     assert r**k <= n < (r + 1) ** k
@@ -389,6 +389,23 @@ def test_nth_root_rejects_bad_arguments():
     for n, k in ((-1, 2), (5, 0)):
         with pytest.raises(ValueError):
             nth_root(n, k)
+    # n and k go through operator.index: a float is refused, a bool is an int
+    for n, k in ((2.0**60, 2), (2**60, 2.0)):
+        with pytest.raises(TypeError):
+            nth_root(n, k)
+    root = nth_root(True, 2)
+    assert root == 1 and type(root) is int
+
+
+def test_nth_root_of_large_powers():
+    # the bit bisection that Newton replaced took over a second for the first
+    # and over 20 s for the fifth root of 2^200000 on a 2-vCPU Xeon
+    r = nth_root(3**20000, 3)
+    assert r**3 <= 3**20000 < (r + 1) ** 3
+    assert nth_root(3**20001, 3) == 3**6667
+    assert nth_root(3**20001 - 1, 3) == 3**6667 - 1
+    assert nth_root(2**200000, 5) == 2**40000
+    assert nth_root(2**200000 - 1, 5) == 2**40000 - 1
 
 
 @settings(max_examples=300)
@@ -400,12 +417,29 @@ def test_last_within_equals_a_linear_scan(steps, data):
     def fn(x):
         return values[x] if x < len(values) else values[-1] + x
 
-    lo = data.draw(st.integers(1, len(values) + 5), label="lo")
+    lo = data.draw(st.integers(0, len(values) + 5), label="lo")
     bound = data.draw(st.integers(fn(lo), fn(lo) + 60), label="bound")
     scan = lo
     while fn(scan + 1) <= bound:
         scan += 1
     assert last_within(fn, bound, lo) == scan
+    # a start point below, at or above the answer changes only where the search begins
+    below = data.draw(st.integers(0, scan), label="below")
+    above = data.draw(st.integers(scan + 1, scan + 70), label="above")
+    assert last_within(fn, bound, lo, below) == scan
+    assert last_within(fn, bound, lo, scan) == scan
+    assert last_within(fn, bound, lo, above) == scan
+
+
+def test_last_within_never_evaluates_fn_at_lo():
+    # fn(lo) <= bound is the caller's premise, so lo itself is never evaluated
+    def fn(x):
+        assert x > 1, x
+        return x * x
+
+    for start in (None, 0, 1, 2, 5, 40):
+        assert last_within(fn, 30, 1, start) == 5
+        assert last_within(fn, 3, 1, start) == 1
 
 
 def _sieve_pi(v):

@@ -8,11 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from psp4nse import arith
+from psp4nse import families as fam
 from psp4nse.arith import cyclotomic_eval, is_prime_power, prime_divisors
 from psp4nse.characterize import (
     CONFIRMING,
@@ -36,6 +37,7 @@ from psp4nse.families import (
     TITS_GROUP,
     order_2E6,
     order_3D4,
+    order_E6,
     order_E7,
     order_E8,
     order_F4,
@@ -584,9 +586,92 @@ def test_solved_hits_equal_scanned_hits(case, bound, x, pick, delta):
     target = vals[pick % len(vals)] + delta
     row = next(r for r in CHARACTERIZE._CASES if r.family == "Exceptional" and r.case == case)
     g = SimpleNamespace(n2=target, go=order_fn(bound))
-    scanned = [y for y in CHARACTERIZE._pp_candidates(g.go, order_fn, lambda y: True)
-               if target in values(y)]
+    scanned = [y for y in reference.scanned_run(order_fn, g.go)
+               if is_prime_power(y) and target in values(y)]
     assert row.hits(g, row.params(g)) == scanned
+
+
+# the E6 and 2E6 rows: the order each bounds and the residues of q' it keeps
+E6_ROWS = {
+    "E6(q'), q' = 0,-1 (mod 3)": (order_E6, lambda x: x % 3 != 1),
+    "E6(q'), q' = 1 (mod 3)": (order_E6, lambda x: x % 3 == 1),
+    "2E6(q'), q' = 0,1 (mod 3)": (order_2E6, lambda x: x % 3 != 2),
+    "2E6(q'), q' = -1 (mod 3)": (order_2E6, lambda x: x % 3 == 2),
+}
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(sorted(E6_ROWS)), x=st.integers(2, 300), delta=st.integers(-2, 2))
+# |E6(q')| is divided by gcd(3, q'-1), so from q' = 72 on it is not
+# monotone: |E6(102)| > |E6(103)|, and the run from q' = 2 ends before 103
+@example(case="E6(q'), q' = 1 (mod 3)", x=103, delta=0)
+def test_e6_candidates_equal_the_scanned_run(case, x, delta):
+    order_fn, keep = E6_ROWS[case]
+    row = next(r for r in CHARACTERIZE._CASES if r.family == "Exceptional" and r.case == case)
+    g = SimpleNamespace(go=order_fn(x) + delta)
+    scanned = [y for y in reference.scanned_run(order_fn, g.go) if is_prime_power(y) and keep(y)]
+    assert row.params(g) == scanned
+
+
+# the rows that solve a component quotient (q'^n -+ 1)/(q' -+ 1) per dimension
+ROOT_ROWS = ("PSLn(q'), n >= 5 prime", "PSL(p+1)(q')", "PSL3(q'), q' >= 3",
+             "PSUn(q'), n = p or p+1", "PSUp(q'), p | q'+1")
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(ROOT_ROWS), n=st.sampled_from((3, 5, 7)), sign=st.sampled_from((1, -1)),
+       scale=st.sampled_from((1, 3, 5, 7)), delta=st.integers(-1, 1), data=st.data())
+def test_root_rows_hits_equal_scanned_hits(case, n, sign, scale, delta, data):
+    # a target near (x^n - sign)/(x - sign) / scale, below 2^25, so that a
+    # linear scan finds every root of every dimension the row reads
+    x = data.draw(st.integers(2, 1 << (24 // (n - 1))), label="x")
+    target = max((x**n - sign) // (x - sign) // scale + delta, 1)
+    row = next(r for r in CHARACTERIZE._CASES if r.case == case)
+    g = SimpleNamespace(n2=target, go=fam.psl_order(14, 2))
+    dims = row.params(g)
+    solved = row.hits(g, dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CHARACTERIZE, "_last_at_most",
+                   lambda fn, bound, degree: ([1] + reference.scanned_run(fn, bound))[-1])
+        assert row.hits(g, dims) == solved
+
+
+def test_searched_polynomials_have_their_degree():
+    # each search starts at nth_root(target, degree): a wrong degree would
+    # quietly start it far from its root, so every annotation is pinned here
+    pairs = [*CHARACTERIZE._ORDER_DEGREES.items(), *CHARACTERIZE._G2_COMPONENTS,
+             *CHARACTERIZE._3D4_COMPONENTS, *CHARACTERIZE._F4_COMPONENTS,
+             *CHARACTERIZE._E8_COMPONENTS]
+    pairs += [(lambda y, n=n: CHARACTERIZE._psl_quotient(y, n), n - 1) for n in range(3, 40)]
+    pairs += [(lambda y, n=n: CHARACTERIZE._psu_quotient(y, n), n - 1) for n in range(3, 40, 2)]
+    assert len(pairs) == 6 + 3 + 1 + 3 + 15 + 37 + 19
+    for fn, degree in pairs:
+        assert abs(fn(2**32).bit_length() - 32 * degree) <= 2, (fn, degree)
+
+
+def test_positive_verdict_work_counts():
+    # with every search started at nth_root(target, degree), a positive
+    # verdict at f = 26 misses the cyclotomic cache 59 times and evaluates
+    # 148 order polynomials; galloping up from q' = 2 took 239 and 236
+    q = 1 << 26
+    nse = nse_set(q)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fam.__file__ and "order" in code.co_name:
+            calls[0] += 1
+
+    arith.factorize.cache_clear()
+    arith.cyclotomic_eval.cache_clear()
+    sys.setprofile(profile)
+    try:
+        verdict = characterize(group_order(q), nse)
+    finally:
+        sys.setprofile(None)
+    assert verdict.outcome == OUTCOME_ISOMORPHIC
+    assert arith.cyclotomic_eval.cache_info().misses <= 59
+    assert 0 < calls[0] <= 148
 
 
 def test_g2_witness_at_f32_matches_a_sieve():
