@@ -501,33 +501,29 @@ def last_within(fn, bound: int, lo: int = 1, start: int | None = None) -> int:
     """The largest x >= lo with fn(x) <= bound, for increasing fn with fn(lo) <= bound.
 
     fn(lo) is never evaluated, so the result is lo when fn(lo + 1) > bound.
-    Without start, gallops from lo with doubling power-of-two steps until fn
-    passes bound, then halves the step down to 1, keeping each step that stays
-    within bound.  With start, the search begins there: from a start within
-    bound it gallops up with steps 1, 2, 4, ...; from one above bound it walks
-    down in steps 1, 2, 4, ... (never below lo) to a point within bound.
-    Either way it then halves back, so the cost grows with the log of the
-    distance from start to the answer, and the answer is the same.
+    The search begins at start, or at lo without one: from a point within
+    bound it gallops up with steps 1, 2, 4, ... until fn passes bound; from a
+    start above bound it walks down in steps 1, 2, 4, ... (never below lo) to
+    a point within bound.  Either way it then halves the step back down to 1,
+    keeping each step that stays within bound, so the cost grows with the log
+    of the distance from start to the answer, and the answer is the same.
     """
-    if start is not None and start > lo and fn(start) > bound:
-        # walk down to a point within bound, or to lo; then lo + step >= top
-        top, step = start, 1
+    x = lo if start is None else max(start, lo)
+    if x > lo and fn(x) > bound:
+        # walk down to a point within bound, or to lo; then x + step >= top
+        top, step = x, 1
         while (x := max(top - step, lo)) > lo and fn(x) > bound:
             top, step = x, step << 1
-        lo = x
     else:
-        if start is None:
-            step = 1 << max(lo.bit_length() - 1, 0)
-        else:
-            lo, step = max(start, lo), 1
-        while fn(lo + step) <= bound:
-            lo += step
+        step = 1
+        while fn(x + step) <= bound:
+            x += step
             step <<= 1
     while step > 1:
         step >>= 1
-        if fn(lo + step) <= bound:
-            lo += step
-    return lo
+        if fn(x + step) <= bound:
+            x += step
+    return x
 
 
 def nth_root(n: int, k: int) -> int:

@@ -216,17 +216,8 @@ def _last_at_most(fn, bound, degree):
 
 
 def _pp_candidates(bound, order_fn, keep):
-    """Prime powers x that pass keep in the run x = 2, 3, ... with order_fn(x) <= bound.
-
-    order_fn(x) times its centre, the order before the quotient, is increasing
-    in x, so the run reaches at least to its last x within bound; from there it
-    goes on one x at a time while order_fn(x) stays within bound.
-    """
-    centre = _CENTRES[order_fn]
-    last = _last_at_most(lambda x: order_fn(x) * centre(x), bound, _ORDER_DEGREES[order_fn])
-    while order_fn(last + 1) <= bound:
-        last += 1
-    return [x for x in range(2, last + 1) if is_prime_power(x) and keep(x)]
+    """Prime powers x that pass keep in the run x = 2, 3, ... with order_fn(x) <= bound."""
+    return [x for x in _bounded_params(count(2), order_fn, bound) if is_prime_power(x) and keep(x)]
 
 
 @dataclass(frozen=True)
@@ -688,11 +679,7 @@ def _dminus_two_kill(g, p):
 # The polynomials in q' that the case table searches, each beside its degree:
 # the orders it bounds, and the components of the solved rows as
 # (polynomial, degree) pairs.
-_ORDER_DEGREES = {fam.order_G2: 14, fam.order_3D4: 28, fam.order_F4: 52,
-                  fam.order_E6: 78, fam.order_2E6: 78, fam.order_E8: 248}
-# |E6(q')| and |2E6(q')| are divided by their centres, gcd(3, q' -+ 1), and so
-# are not monotone in q': |E6(73)| < |E6(72)| and |2E6(74)| < |2E6(73)|
-_CENTRES = {fam.order_E6: lambda x: gcd(3, x - 1), fam.order_2E6: lambda x: gcd(3, x + 1)}
+_ORDER_DEGREES = {fam.order_G2: 14, fam.order_3D4: 28, fam.order_F4: 52, fam.order_E8: 248}
 _G2_COMPONENTS = ((lambda x: cyclotomic_eval(3, x), 2), (lambda x: cyclotomic_eval(6, x), 2),
                   (lambda x: cyclotomic_eval(3, x * x), 4))
 _3D4_COMPONENTS = ((lambda x: cyclotomic_eval(12, x), 4),)

@@ -603,7 +603,10 @@ E6_ROWS = {
 @settings(max_examples=200)
 @given(case=st.sampled_from(sorted(E6_ROWS)), x=st.integers(2, 300), delta=st.integers(-2, 2))
 # |E6(q')| is divided by gcd(3, q'-1), so from q' = 72 on it is not
-# monotone: |E6(102)| > |E6(103)|, and the run from q' = 2 ends before 103
+# monotone: |E6(102)| > |E6(103)|, and the run from q' = 2 ends before 103.
+# That early end is a known defect (a FOUND line in CHANGES.md): q' = 103 is
+# within the bound but never considered.  The example pins the run as it is
+# only so that the verdict bytes stay the same until the rows are fixed.
 @example(case="E6(q'), q' = 1 (mod 3)", x=103, delta=0)
 def test_e6_candidates_equal_the_scanned_run(case, x, delta):
     order_fn, keep = E6_ROWS[case]
@@ -644,7 +647,7 @@ def test_searched_polynomials_have_their_degree():
              *CHARACTERIZE._E8_COMPONENTS]
     pairs += [(lambda y, n=n: CHARACTERIZE._psl_quotient(y, n), n - 1) for n in range(3, 40)]
     pairs += [(lambda y, n=n: CHARACTERIZE._psu_quotient(y, n), n - 1) for n in range(3, 40, 2)]
-    assert len(pairs) == 6 + 3 + 1 + 3 + 15 + 37 + 19
+    assert len(pairs) == 4 + 3 + 1 + 3 + 15 + 37 + 19
     for fn, degree in pairs:
         assert abs(fn(2**32).bit_length() - 32 * degree) <= 2, (fn, degree)
 
@@ -652,7 +655,8 @@ def test_searched_polynomials_have_their_degree():
 def test_positive_verdict_work_counts():
     # with every search started at nth_root(target, degree), a positive
     # verdict at f = 26 misses the cyclotomic cache 59 times and evaluates
-    # 148 order polynomials; galloping up from q' = 2 took 239 and 236
+    # 176 order polynomials (the E6 and 2E6 runs still scan from q' = 2);
+    # galloping up from q' = 2 took 239 and 236
     q = 1 << 26
     nse = nse_set(q)
     calls = [0]
@@ -671,7 +675,7 @@ def test_positive_verdict_work_counts():
         sys.setprofile(None)
     assert verdict.outcome == OUTCOME_ISOMORPHIC
     assert arith.cyclotomic_eval.cache_info().misses <= 59
-    assert 0 < calls[0] <= 148
+    assert 0 < calls[0] <= 176
 
 
 def test_g2_witness_at_f32_matches_a_sieve():
