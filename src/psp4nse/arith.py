@@ -12,10 +12,10 @@ and the acceptance suite check (the case rows evaluate those clauses).
 
 Two integer searches serve the rest of the package: `nth_root`, the floor of
 a k-th root (isqrt for k = 2, else integer Newton from above, O(log) steps),
-and `last_within`, the largest x with fn(x) <= bound for an increasing fn,
-galloping from a lower end or from a start point near the answer; the case
-table of `characterize` starts each of its searches at nth_root(target,
-degree).
+and `last_within`, the largest x >= 1 with fn(x) <= bound for an increasing
+polynomial fn of known degree, galloping from nth_root(bound, degree), a few
+units from the answer; the case table of `characterize` solves for each of
+its roots and parameter bounds with one call to it.
 
 All arithmetic is exact: arbitrary-precision ints, and int64 arrays below
 2^62 in the prime-counting table; nothing here ever goes through floats.
@@ -497,22 +497,21 @@ def divisibility_predicates(q: int) -> dict[str, DivisibilityCheck]:
     return {label: DivisibilityCheck.of(label, dividend, d) for label, d in values}
 
 
-def last_within(fn, bound: int, lo: int = 1, start: int | None = None) -> int:
-    """The largest x >= lo with fn(x) <= bound, for increasing fn with fn(lo) <= bound.
+def last_within(fn, bound: int, degree: int) -> int:
+    """The largest x >= 1 with fn(x) <= bound, for increasing fn with fn(1) <= bound.
 
-    fn(lo) is never evaluated, so the result is lo when fn(lo + 1) > bound.
-    The search begins at start, or at lo without one: from a point within
-    bound it gallops up with steps 1, 2, 4, ... until fn passes bound; from a
-    start above bound it walks down in steps 1, 2, 4, ... (never below lo) to
-    a point within bound.  Either way it then halves the step back down to 1,
-    keeping each step that stays within bound, so the cost grows with the log
-    of the distance from start to the answer, and the answer is the same.
+    fn(1) is never evaluated, so the result is 1 when fn(2) > bound.  The
+    search starts at max(nth_root(bound, degree), 1), a few units from the
+    answer when fn has the given degree: from a start within bound it gallops
+    up in steps 1, 2, 4, ... until fn passes bound, from one above bound it
+    walks down in such steps (never below 1), and then it halves the step
+    back to 1.  A wrong degree costs evaluations, never a wrong answer.
     """
-    x = lo if start is None else max(start, lo)
-    if x > lo and fn(x) > bound:
-        # walk down to a point within bound, or to lo; then x + step >= top
+    x = max(nth_root(bound, degree), 1)
+    if x > 1 and fn(x) > bound:
+        # walk down to a point within bound, or to 1; then x + step >= top
         top, step = x, 1
-        while (x := max(top - step, lo)) > lo and fn(x) > bound:
+        while (x := max(top - step, 1)) > 1 and fn(x) > bound:
             top, step = x, step << 1
     else:
         step = 1

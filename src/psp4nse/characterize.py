@@ -200,24 +200,23 @@ def _two_powers(start):
 
 
 def _bounded_params(params, order_fn, bound):
-    """Prefix of a monotone parameter stream whose group order stays <= bound."""
+    """Prefix of a parameter stream whose group order stays <= bound.  The
+    order must increase along the stream: the prefix ends at the first order
+    above bound, so a later parameter within bound would be missed."""
     return list(takewhile(lambda p: order_fn(p) <= bound, params))
 
 
-def _last_at_most(fn, bound, degree):
-    """The largest x >= 2 with fn(x) <= bound, or 1 when there is none, for
-    fn increasing in x with leading term of the given degree.
-
-    The search starts at nth_root(bound, degree), within a few units of the
-    answer: it walks down in doubling steps while fn is above bound, then
-    gallops up.  A wrong degree costs evaluations, never a wrong answer.
-    """
-    return last_within(fn, bound, 1, nth_root(bound, degree))
-
-
 def _pp_candidates(bound, order_fn, keep):
-    """Prime powers x that pass keep in the run x = 2, 3, ... with order_fn(x) <= bound."""
-    return [x for x in _bounded_params(count(2), order_fn, bound) if is_prime_power(x) and keep(x)]
+    """The prime powers x passing keep with order_fn(x) <= bound, for the E6
+    and 2E6 orders, which gcd(3, x -+ 1) divides and so are not monotone.
+
+    The undivided order x^36 prod(x^d -+ 1) over d in {2, 5, 6, 8, 9, 12}
+    exceeds x^78 prod(1 - 2^-d) > x^78 / 2 for x >= 2, and the divisor is at
+    most 3, so every candidate is at most nth_root(6 bound, 78).  keep goes
+    first: the order is evaluated only within the row's residue class.
+    """
+    return [x for x in range(2, nth_root(6 * bound, 78) + 1)
+            if keep(x) and order_fn(x) <= bound and is_prime_power(x)]
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ def _prime_powers_upto(bound):
 
 def _solve_increasing(fn, target, degree):
     """The integer x >= 2 with fn(x) == target, for strictly increasing fn of the given degree."""
-    x = _last_at_most(fn, target, degree)
+    x = last_within(fn, target, degree)
     return x if x > 1 and fn(x) == target else None
 
 
@@ -414,7 +413,7 @@ def _solve_pp(family, label, order_fn, components):
     return _Case(family, f"{label}(q')", hits, _qprime_order(label, order_fn), AN_ORDER_DIV,
                  miss=_no_hit(),
                  params=lambda g: _prime_powers_upto(
-                     _last_at_most(order_fn, g.go, _ORDER_DEGREES[order_fn])))
+                     last_within(order_fn, g.go, _ORDER_DEGREES[order_fn])))
 
 
 def _dims(order_fn, stream=_odd_primes):

@@ -409,37 +409,37 @@ def test_nth_root_of_large_powers():
 
 
 @settings(max_examples=300)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.data())
-def test_last_within_equals_a_linear_scan(steps, data):
-    # a nondecreasing fn from the step sizes, strictly increasing past them
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(1, 64), st.data())
+def test_last_within_equals_a_linear_scan(steps, degree, data):
+    # a nondecreasing fn from the step sizes, strictly increasing past them;
+    # the degree only moves the start, nth_root(bound, degree), below, at or
+    # above the answer, so any degree must give the scan's answer
     values = list(accumulate(steps))
 
     def fn(x):
         return values[x] if x < len(values) else values[-1] + x
 
-    lo = data.draw(st.integers(0, len(values) + 5), label="lo")
-    bound = data.draw(st.integers(fn(lo), fn(lo) + 60), label="bound")
-    scan = lo
+    bound = data.draw(st.integers(fn(1), fn(1) + 60), label="bound")
+    scan = 1
     while fn(scan + 1) <= bound:
         scan += 1
-    assert last_within(fn, bound, lo) == scan
-    # a start point below, at or above the answer changes only where the search begins
-    below = data.draw(st.integers(0, scan), label="below")
-    above = data.draw(st.integers(scan + 1, scan + 70), label="above")
-    assert last_within(fn, bound, lo, below) == scan
-    assert last_within(fn, bound, lo, scan) == scan
-    assert last_within(fn, bound, lo, above) == scan
+    seen = []
+    assert last_within(lambda x: seen.append(x) or fn(x), bound, degree) == scan
+    assert 1 not in seen
 
 
 def test_last_within_never_evaluates_fn_at_lo():
-    # fn(lo) <= bound is the caller's premise, so lo itself is never evaluated
+    # fn(1) <= bound is the caller's premise, so the lower end 1 is never evaluated
     def fn(x):
         assert x > 1, x
-        return x * x
+        return x * x - 1
 
-    for start in (None, 0, 1, 2, 5, 40):
-        assert last_within(fn, 30, 1, start) == 5
-        assert last_within(fn, 3, 1, start) == 1
+    for degree in (1, 2, 3, 64):
+        assert last_within(fn, 30, degree) == 5
+        assert last_within(fn, 3, degree) == 2
+        # fn(2) > bound: the answer is 1, also from the start max(nth_root(0, degree), 1)
+        for bound in (0, 1, 2):
+            assert last_within(fn, bound, degree) == 1
 
 
 def _sieve_pi(v):
