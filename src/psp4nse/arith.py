@@ -96,6 +96,7 @@ def _prime_runs() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality: deterministic below 2^64, 64 seeded rounds above."""
+    n = index(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -309,6 +310,7 @@ def _prime_pi_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def prime_power_count(n: int) -> int:
     """The number of prime powers p^k (k >= 1) in 2..n: the sum over k of pi(n^(1/k)),
     each pi a bisection of the sieve below 10^6, else read from the Lucy table of n."""
+    n = index(n)
     if n < 2:
         return 0
     if n < _SIEVE_BOUND:
@@ -326,8 +328,10 @@ def cyclotomic_eval(n: int, x: int) -> int:
     Phi_n(x) = prod (x^(n/e) - 1)^mu(e): the factors with mu(e) = +1 are
     multiplied into a numerator, those with mu(e) = -1 into a denominator, and
     one exact division gives the value.  The squarefree divisors are the
-    subsets of factorize(n).primes.
+    subsets of factorize(n).primes.  n and x go through operator.index on a
+    miss, so a float raises TypeError and caches nothing.
     """
+    n, x = index(n), index(x)
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
     if x < 2:
@@ -356,6 +360,7 @@ def twisted_cyclotomic_eval(n: int, sign: int, x: int) -> int | None:
     Phi_12^e(x) = x^2 + e*x*sqrt(2x) + x + e*sqrt(2x) + 1, when 2x is a square.
     Whenever both signs are defined their product is the plain cyclotomic value.
     """
+    n, sign, x = index(n), index(sign), index(x)
     if n not in (6, 12):
         raise ValueError(f"twisted cyclotomic defined for n in (6, 12), got {n}")
     if sign not in (1, -1):
@@ -472,7 +477,10 @@ def _integers(values):
 
 
 def validate_q(q: int) -> int:
-    """Return f for q = 2^f with f >= 2, else raise."""
+    """Return f for q = 2^f with f >= 2, else raise: TypeError for a q that is
+    no int.  q is not converted, since callers compute q**4 in q's own type."""
+    if not isinstance(q, int):
+        raise TypeError(f"q must be an int, got {type(q).__name__}")
     f = power_of_two_exponent(q)
     if f is None or f < 2:
         raise ValueError(f"q must be a power of 2 greater than 2, got {q}")

@@ -250,7 +250,9 @@ class EnumeratedGroup:
     The keys are copied into a read-only array of the spec's key word, so the
     order histogram that order_histogram stores on the group cannot go stale;
     only the cosets of enumerate_group are taken over as they are.  A key
-    outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast.
+    outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast, and
+    keys of a dtype other than an integer one raise TypeError rather than be
+    truncated.
     """
 
     spec: FieldSpec
@@ -260,6 +262,8 @@ class EnumeratedGroup:
         given, bits = np.asarray(self.keys), 16 * self.spec.f
         if given.size and not 0 <= int(given.min()) <= int(given.max()) < 1 << bits:
             raise ValueError(f"group keys must lie in 0..2^{bits} - 1")
+        if given.size and given.dtype.kind not in "iu":
+            raise TypeError(f"group keys must be integers, got dtype {given.dtype}")
         keys = given.astype(_key_dtype(self.spec), copy=not isinstance(self.keys, _Cosets))
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("group keys must be strictly increasing")

@@ -53,38 +53,32 @@ def build_graph(spec_orders: set[int] | frozenset[int], order: int) -> PrimeGrap
     for s in members:
         if s < 1 or order % s:
             raise ValueError(f"spectrum member {s} does not divide the order {order}")
-    # take the members smallest first, each with its primes as a bitmask and
-    # its least prime.  As in Euler's sieve, a member s marks p s for each
-    # known prime p up to its least one, so a member whose quotient by its
-    # least prime is a member (every member but the primes, in a
-    # divisor-closed spectrum) arrives marked with its primes, and p gains
-    # the edges to the primes of s.  An unmarked member must be a new prime.
-    # A mark is held only until the walk reaches its member.
-    top = members[-1]
-    member_set = set(members)
-    marks = {1: (0, 0)}
+    # take the members smallest first, each with its primes as a bitmask.  The
+    # primes of a member s are its least prime p and those of s // p, a smaller
+    # member already walked when the set is divisor-closed, and p gains the
+    # edges to the primes of s // p.  A member that no known prime divides must
+    # be a new prime; a composite one has no member quotient (s // 1 is s).
     known: list[int] = []
     bits: dict[int, int] = {}
     joined: dict[int, int] = {}
-    for s in members:
-        mark = marks.pop(s, None)
-        if mark is None:
-            if not is_prime(s):
-                raise ValueError(f"spectrum member {s} is composite and its quotient by its "
-                                 "least prime is missing: the set is not divisor-closed")
-            # members come in ascending order, so s exceeds every known prime
-            bits[s], joined[s] = 1 << len(bits), 0
-            known.append(s)
-            mark = (bits[s], s)
-        mask, least = mark
+    masks = {1: 0}
+    for s in members[1:]:
         for p in known:
-            t = p * s
-            if p > least or t > top:
+            if s % p == 0:
                 break
-            if t in member_set:
-                marks[t] = (mask | bits[p], p)
-                joined[p] |= mask
-    # p is the least prime of each member it marked, so it joins only larger primes
+        else:
+            p = 1
+            if is_prime(s):
+                # members come in ascending order, so s exceeds every known prime
+                p, bits[s], joined[s] = s, 1 << len(known), 0
+                known.append(s)
+        rest = masks.get(s // p)
+        if rest is None:
+            raise ValueError(f"spectrum member {s} is composite and its quotient by its "
+                             "least prime is missing: the set is not divisor-closed")
+        masks[s] = rest | bits[p]
+        joined[p] |= rest
+    # p is the least prime of each member s it joined to s // p: it joins larger primes
     edges = set()
     for p, mask in joined.items():
         mask &= ~bits[p]

@@ -255,6 +255,27 @@ def test_twisted_cyclotomic():
         twisted_cyclotomic_eval(5, 1, 2)
 
 
+def test_cyclotomic_eval_takes_its_arguments_through_index():
+    # the cache is looked up before the body runs, and (3, 2.0) == (3, 2): a
+    # float once cached 7.0 for every later (3, 2), and an int64 argument
+    # cached a wrapped value; an exception caches nothing
+    cyclotomic_eval.cache_clear()
+    with pytest.raises(TypeError):
+        cyclotomic_eval(3, 2.0)
+    value = cyclotomic_eval(3, 2)
+    assert value == 7 and type(value) is int
+    x = 1 << 20
+    for n in (12, 5):
+        value = cyclotomic_eval(n, np.int64(x))
+        assert value == cyclotomic_by_division(n, x) and type(value) is int
+        assert type(cyclotomic_eval(n, x)) is int
+    value = twisted_cyclotomic_eval(12, np.int64(1), np.int64(1 << 21))
+    assert value == twisted_cyclotomic_eval(12, 1, 1 << 21) and type(value) is int
+    for args in ((6, 1, 3.0), (6, 1.0, 3), (6.0, 1, 3)):
+        with pytest.raises(TypeError):
+            twisted_cyclotomic_eval(*args)
+
+
 def test_twisted_product_identity():
     # whenever both signs are defined, the product is the plain cyclotomic value
     for t in range(1, 6):
@@ -355,6 +376,27 @@ def test_divisibility_predicates_witnesses():
         divisibility_predicates(2)
     with pytest.raises(ValueError):
         divisibility_predicates(12)
+
+
+@pytest.mark.parametrize("q", [np.int64(16), np.uint64(16), 16.0])
+def test_every_q_taking_function_raises_type_error_for_a_q_that_is_no_int(q):
+    # a numpy q once raised AttributeError (bit_length); q is not converted,
+    # since np.int64(1 << 16) ** 4 wraps to 0.  A cached q would return before
+    # validate_q runs.
+    from psp4nse.characterize import build_A_sets, eliminate_family, frobenius_exclusion
+    from psp4nse.oracle import sp4_generators
+    from psp4nse.primegraph import prime_graph, separation_check
+    from psp4nse.sympl import (class_table, family_class_count, group_order, nse_set,
+                               nse_table, spectrum)
+
+    spectrum.cache_clear()
+    build_A_sets.cache_clear()
+    for fn in (group_order, spectrum, nse_table, nse_set, class_table,
+               lambda q: family_class_count(q, "A1"), prime_graph, separation_check,
+               build_A_sets, frobenius_exclusion, lambda q: eliminate_family(q, "PSL"),
+               sp4_generators, divisibility_predicates):
+        with pytest.raises(TypeError, match=type(q).__name__):
+            fn(q)
 
 
 def test_divisibility_predicates_pattern():
@@ -469,6 +511,17 @@ def test_prime_power_count():
         assert prime_power_count(n) == by_sieve
     with pytest.raises(ValueError, match="2\\^62"):
         prime_power_count(1 << 62)
+
+
+@pytest.mark.parametrize("fn, n", [(is_prime, 7), (is_prime, 91), (prime_power_count, 1000),
+                                   (prime_power_count, 10**7)])
+def test_is_prime_and_prime_power_count_take_n_through_index(fn, n):
+    # is_prime(7.0) was True, and prime_power_count called n.bit_length()
+    expected = fn(n)
+    assert fn(np.int64(n)) == expected and type(fn(np.int64(n))) is type(expected)
+    for bad in (float(n), str(n)):
+        with pytest.raises(TypeError):
+            fn(bad)
 
 
 @settings(max_examples=300)

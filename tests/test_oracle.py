@@ -176,6 +176,14 @@ def test_enumerated_group_rejects_keys_beyond_the_key_width(f, bad):
     assert EnumeratedGroup(spec, [ident, (1 << bits) - 1]).keys.tolist() == [ident, (1 << bits) - 1]
 
 
+def test_enumerated_group_rejects_keys_that_are_no_integers():
+    # float keys in range once passed the range check and were truncated by the cast
+    spec = FieldSpec.for_degree(2)
+    for keys in (np.array([1.5, 2.7]), [1.0, 2.0], np.array([True, False])):
+        with pytest.raises(TypeError, match="integers"):
+            EnumeratedGroup(spec, keys)
+
+
 def _word(q, word):
     gens = sp4_generators(q)
     m = Mat4.identity(gens[0].spec)

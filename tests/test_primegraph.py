@@ -58,7 +58,7 @@ def test_rejects_bad_spectrum():
 
 
 @pytest.mark.parametrize("spec, order, named", [
-    ({1, 2, 3, 5, 30}, 30, "member 30"),  # 30 is unmarked: 6, 10 and 15 are missing
+    ({1, 2, 3, 5, 30}, 30, "member 30"),  # 30's quotient 15 by its least prime is missing
     ({1, 2, 3, 6}, 30, "order 30"),  # 5 divides the order and is no member
     ({1, 2}, 6, "order 6"),
     ({1}, 2, "order 2"),
@@ -157,8 +157,8 @@ def _divisors(exponents):
     st.data(),
 )
 def test_build_graph_equals_factoring_every_member(prime_powers, data):
-    # the walk marks each composite member from its quotient by its least
-    # prime, which a divisor-closed set holds.  A set lacking such a quotient,
+    # the walk reads each composite member's primes from its quotient by its
+    # least prime, which a divisor-closed set holds.  A set lacking such a quotient,
     # or a prime of the order, raises; any other set gets its members' graph.
     # Members are factored over the drawn primes, with no call of factorize.
     exponents = dict(prime_powers)
@@ -194,9 +194,9 @@ def test_build_graph_equals_factoring_every_member_of_a_divisor_closed_set(prime
 
 
 def test_build_graph_divides_no_member_of_the_spectrum_by_every_known_prime(monkeypatch):
-    # in a divisor-closed spectrum each member but the primes arrives with its
-    # primes from its quotient by its least prime; only the primes meet
-    # is_prime, and no member is divided by the known primes
+    # in a divisor-closed spectrum each member but the primes takes its primes
+    # from its quotient by its least prime, and is divided by the known primes
+    # only up to that one; only the primes meet is_prime
     q = 1 << 48
     spec = set(spectrum(q))
     tested = []
@@ -212,8 +212,8 @@ def test_build_graph_divides_no_member_of_the_spectrum_by_every_known_prime(monk
 
 
 def test_build_graph_reads_a_set_whose_every_member_has_its_least_prime_quotient():
-    # 12 arrives marked from 6: the walk cannot see that 4 is missing, and the
-    # graph is still the members' graph
+    # 12 reads its primes from 6 = 12 // 2: the walk cannot see that 4 is
+    # missing, and the graph is still the members' graph
     assert build_graph({1, 2, 3, 6, 12}, 12) == build_graph({1, 2, 3, 4, 6, 12}, 12)
 
 
