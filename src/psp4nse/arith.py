@@ -1,14 +1,14 @@
 """Exact integer number theory used throughout the package.
 
-Factorization (trial division by the primes below 10^6, then Pollard-Brent
-rho; past the first 256 primes the division tests each run of 256 primes with
-one gcd against the run's product), one divisor walk that gives every divisor
-of a number with its Euler phi and Dedekind psi, prime-power counting (pi by
-bisecting that sieve below 10^6, from the Lucy_Hedgehog table from 10^6 on),
-exact cyclotomic values including the twisted factors of Phi_6 and Phi_12,
-the prime-power equation p^m = q^n + 1, validation of q = 2^f > 2, and the
-five divisibility predicates about q^4(q^4-1)(q^2-1) that `psp4nse selftest`
-and the acceptance suite check (the case rows evaluate those clauses).
+Factorization (trial division by the primes below 10^6, each run of 256
+primes tested with one gcd against the run's product, then Pollard-Brent
+rho), one divisor walk that gives every divisor of a number with its Euler
+phi and Dedekind psi, prime-power counting (pi by bisecting that sieve below
+10^6, from the Lucy_Hedgehog table from 10^6 on), exact cyclotomic values
+including the twisted factors of Phi_6 and Phi_12, the prime-power equation
+p^m = q^n + 1, validation of q = 2^f > 2, and the five divisibility
+predicates about q^4(q^4-1)(q^2-1) that `psp4nse selftest` and the
+acceptance suite check (the case rows evaluate those clauses).
 
 Two integer searches serve the rest of the package: `nth_root`, the floor of
 a k-th root (isqrt for k = 2, else integer Newton from above, O(log) steps),
@@ -58,9 +58,8 @@ __all__ = [
 ]
 
 _SIEVE_BOUND = 1_000_000
-# factorize divides by the first _RUN sieve primes (through 1619) one at a time,
-# then by each further run of _RUN primes only when the run's product shares a
-# factor with the cofactor: one gcd settles a run that does not divide it
+# factorize tests the sieve primes _RUN at a time, one gcd against each run's
+# product: a run that shares no factor with the cofactor costs that one gcd
 _RUN = 256
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24 (covers 2^64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -84,14 +83,13 @@ def _small_primes() -> array:
 
 
 @lru_cache(maxsize=1)
-def _prime_runs() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The first _RUN sieve primes, and (start, product) for each further run of _RUN.
+def _prime_runs() -> tuple[tuple[int, int], ...]:
+    """(start, product) for each run of _RUN sieve primes, from start 0.
 
     start indexes _small_primes(); the last run holds the primes left over.
     """
     primes = _small_primes()
-    runs = tuple((s, prod(primes[s : s + _RUN])) for s in range(_RUN, len(primes), _RUN))
-    return tuple(primes[:_RUN]), runs
+    return tuple((s, prod(primes[s : s + _RUN])) for s in range(0, len(primes), _RUN))
 
 
 def is_prime(n: int) -> bool:
@@ -179,60 +177,52 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Full factorization of n >= 1; n = 1 gives the empty product.
 
-    Trial division by the first _RUN sieve primes settles every n whose
-    cofactor falls below 1621^2.  Past them, each run of _RUN primes is tested
-    with one gcd against its product, and only a run whose gcd exceeds 1 is
-    divided prime by prime.  Division stops at the first prime, or run, whose
-    square exceeds the cofactor, which is then 1 or prime; a cofactor left
-    after the whole sieve goes to Miller-Rabin and Pollard-Brent rho.
+    Trial division tests each run of _RUN sieve primes, the first included,
+    with one gcd g against the run's product and divides the cofactor only by
+    the primes of g, one at a time until p^2 exceeds what is left of g, which
+    is then one prime, taken whole.  Division stops at the first run whose
+    least prime squared exceeds the cofactor, which is then 1 or prime; a
+    cofactor left after the whole sieve goes to Miller-Rabin and Pollard-Brent
+    rho.
     A non-integer n raises TypeError.
     """
     n = index(n)
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     primes = _small_primes()
-    head, runs = _prime_runs()
     out: dict[int, int] = {}
     m = n
-    exhausted_sieve = False
-    for p in head:
-        if p * p > m:
+    for start, product in _prime_runs():
+        if primes[start] ** 2 > m:
             break
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
+        # g is the product of the run's primes that divide m, each once
+        g = gcd(m, product)
+        if g == 1:
+            continue
+        for p in primes[start : start + _RUN]:
+            if p * p > g:
+                p = g  # every prime factor of g is at least p, so g is prime
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    m //= p
+                if g == 1:
+                    break
     else:
-        exhausted_sieve = True
-        for start, product in runs:
-            if primes[start] ** 2 > m:
-                exhausted_sieve = False
-                break
-            g = gcd(m, product)
-            if g == 1:
-                continue
-            # g is the product of the run's primes that divide m, each once
-            for p in primes[start : start + _RUN]:
-                if g % p == 0:
-                    g //= p
-                    while m % p == 0:
-                        out[p] = out.get(p, 0) + 1
-                        m //= p
-                    if g == 1:
-                        break
+        # m outlived the whole sieve: Miller-Rabin and rho split it
+        stack, m = [m], 1
+        while stack:
+            v = stack.pop()
+            if is_prime(v):
+                out[v] = out.get(v, 0) + 1
+            elif v > 1:  # the last run can divide m down to 1
+                d = _pollard_brent(v)
+                stack.append(d)
+                stack.append(v // d)
     if m > 1:
-        if not exhausted_sieve:
-            # trial division reached sqrt(m), so the cofactor is prime
-            out[m] = out.get(m, 0) + 1
-        else:
-            stack = [m]
-            while stack:
-                v = stack.pop()
-                if is_prime(v):
-                    out[v] = out.get(v, 0) + 1
-                else:
-                    d = _pollard_brent(v)
-                    stack.append(d)
-                    stack.append(v // d)
+        # trial division reached sqrt(m), so the cofactor is prime
+        out[m] = out.get(m, 0) + 1
     return Factorization(tuple(sorted(out.items())))
 
 
@@ -321,7 +311,7 @@ def prime_power_count(n: int) -> int:
     return int(large[1]) + sum(int(small[nth_root(n, k)]) for k in range(2, n.bit_length()))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def cyclotomic_eval(n: int, x: int) -> int:
     """Phi_n(x) exactly, as the Moebius product over squarefree e | n.
 
@@ -329,7 +319,8 @@ def cyclotomic_eval(n: int, x: int) -> int:
     multiplied into a numerator, those with mu(e) = -1 into a denominator, and
     one exact division gives the value.  The squarefree divisors are the
     subsets of factorize(n).primes.  n and x go through operator.index on a
-    miss, so a float raises TypeError and caches nothing.
+    miss, and the cache keys on their types, so a float always misses, raises
+    TypeError and caches nothing, even after the equal ints were cached.
     """
     n, x = index(n), index(x)
     if n < 1:

@@ -252,19 +252,32 @@ class EnumeratedGroup:
     only the cosets of enumerate_group are taken over as they are.  A key
     outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast, and
     keys of a dtype other than an integer one raise TypeError rather than be
-    truncated.
+    truncated.  Keys given as a list are checked as the ints they are, so one
+    list may hold keys below and at or above 2^63.
     """
 
     spec: FieldSpec
     keys: np.ndarray
 
     def __post_init__(self) -> None:
-        given, bits = np.asarray(self.keys), 16 * self.spec.f
-        if given.size and not 0 <= int(given.min()) <= int(given.max()) < 1 << bits:
+        given, bits, word = self.keys, 16 * self.spec.f, _key_dtype(self.spec)
+        if isinstance(given, np.ndarray):
+            given = np.asarray(given)  # the group keeps a plain array, never _Cosets
+            low, high = (int(given.min()), int(given.max())) if given.size else (0, 0)
+            bad = given.size and given.dtype.kind not in "iu" and f"dtype {given.dtype}"
+        else:
+            # np.asarray makes float64 of a list that mixes keys below and at or
+            # above 2^63, so a list is checked item by item and cast from Python ints
+            given = list(given)
+            low, high = min(given, default=0), max(given, default=0)
+            bad = next((type(k).__name__ for k in given
+                        if isinstance(k, bool) or not isinstance(k, (int, np.integer))), None)
+        if not 0 <= low <= high < 1 << bits:
             raise ValueError(f"group keys must lie in 0..2^{bits} - 1")
-        if given.size and given.dtype.kind not in "iu":
-            raise TypeError(f"group keys must be integers, got dtype {given.dtype}")
-        keys = given.astype(_key_dtype(self.spec), copy=not isinstance(self.keys, _Cosets))
+        if bad:
+            raise TypeError(f"group keys must be integers, got {bad}")
+        keys = (np.array(given, dtype=word) if isinstance(given, list)
+                else given.astype(word, copy=not isinstance(self.keys, _Cosets)))
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("group keys must be strictly increasing")
         keys.flags.writeable = False

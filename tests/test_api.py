@@ -147,6 +147,23 @@ def test_every_cache_has_a_cap():
     assert unbounded == []
 
 
+def _untyped_caches(tree: ast.Module) -> list[int]:
+    """Lines of functions of two or more parameters cached by an lru_cache
+    without typed=True, whose key would take 2.0 for 2."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and len(node.args.posonlyargs + node.args.args + node.args.kwonlyargs) >= 2
+            for dec in map(ast.unparse, node.decorator_list)
+            if "lru_cache" in dec and "typed=True" not in dec]
+
+
+def test_every_cache_of_two_or_more_parameters_is_typed():
+    untyped = [f"{path.name}:{line}"
+               for path in sorted((ROOT / "src" / "psp4nse").glob("*.py"))
+               for line in _untyped_caches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert untyped == []
+
+
 def _environment_reads(tree: ast.Module) -> list[int]:
     """Lines that name os.environ or os.getenv, as an attribute or an import."""
     lines = []

@@ -116,7 +116,10 @@ def test_factorize_equals_per_prime_reference_on_sieve_products(powers):
 
 
 @pytest.mark.parametrize("n", [
-    1619**2, 1619 * 1621, 1621**2,  # the end of the per-prime loop and the first run
+    1619**2, 1619 * 1621, 1621**2,  # the end of the first run and the start of the second
+    2 * 1619,  # the cut p * p > g takes g = 1619 whole at p = 41
+    1613 * 1619, 1621 * 1627, 1619**3,  # 1613, 1619 end the first run; 1621, 1627 start the second
+    3 * 999_983,
     999_979 * 999_983, 999_983**2, 999_983 * 1_000_003,  # the end of the sieve
 ])
 def test_factorize_equals_per_prime_reference_on_edges(n):
@@ -253,6 +256,16 @@ def test_twisted_cyclotomic():
     assert twisted_cyclotomic_eval(6, 1, 5) is None
     with pytest.raises(ValueError):
         twisted_cyclotomic_eval(5, 1, 2)
+
+
+def test_cyclotomic_eval_answers_no_float_from_its_cache():
+    # (3, 2.0) == (3, 2) as a key: an untyped cache returned 7 for the float
+    # once the ints were cached, where a cold cache raised TypeError
+    cyclotomic_eval.cache_clear()
+    assert cyclotomic_eval(3, 2) == 7
+    for args in ((3, 2.0), (3.0, 2)):
+        with pytest.raises(TypeError):
+            cyclotomic_eval(*args)
 
 
 def test_cyclotomic_eval_takes_its_arguments_through_index():

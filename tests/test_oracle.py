@@ -184,6 +184,17 @@ def test_enumerated_group_rejects_keys_that_are_no_integers():
             EnumeratedGroup(spec, keys)
 
 
+def test_enumerated_group_takes_a_list_of_keys_below_and_from_2_63():
+    # np.asarray made such a list float64: [1, 2^63 + 5] raised TypeError and
+    # 2^64 - 2 rounded to 2^64 and failed the range check
+    spec = FieldSpec.for_degree(4)
+    for keys in ([1, 2**63 + 5], [1, 2**64 - 2], [np.uint64(1), 2**63, (1 << 64) - 1]):
+        group = EnumeratedGroup(spec, keys)
+        assert group.keys.dtype == np.uint64 and group.keys.tolist() == [int(k) for k in keys]
+    with pytest.raises(ValueError, match=r"must lie in 0..2\^64 - 1"):
+        EnumeratedGroup(spec, [1, 1 << 64])
+
+
 def _word(q, word):
     gens = sp4_generators(q)
     m = Mat4.identity(gens[0].spec)
