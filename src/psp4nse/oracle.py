@@ -22,8 +22,9 @@ generators of each cyclic subgroup, reuse them along each chain.  An order
 is held in the narrowest unsigned word of q^4 - 1, uint8 at q = 4.
 
 Sp4(4) (979,200 elements: an orbit of 255 points times a stabilizer of
-order 3840) enumerates in about 0.02 s and its histogram takes about 0.2 s
-on a 2-vCPU x86-64 host; the two raise a process's peak RSS by about 11 MB.
+order 3840) enumerates in about 0.02 s and its histogram takes about
+0.12-0.14 s on a 2-vCPU x86-64 host; the two raise a process's peak RSS by
+about 11 MB.
 
 For even q the symplectic group is already simple modulo nothing: the center
 is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
@@ -460,7 +461,9 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
     closed gets the same orders as a chain per key.
 
     Orders are held in _order_dtype(spec).  Each batch runs in _order_batch,
-    so its temporaries are freed before the next batch makes its own.
+    so its temporaries are freed before the next batch makes its own.  On
+    Sp4(4) this takes about 0.12-0.14 s on a 2-vCPU x86-64 host, with
+    1,924,841 products and 768,294 sorted lookups.
     """
     orders = np.zeros(len(keys), dtype=_order_dtype(spec))
     start, window = 0, 4 * _ORDER_BATCH
@@ -475,7 +478,15 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
 def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarray,
                  batch: np.ndarray) -> None:
     """Write into orders the order of each key at the positions batch, and that
-    order at each marked power of the key among the sorted keys."""
+    order at each marked power of the key among the sorted keys.
+
+    Finished chains are dropped by one flatnonzero and a take on idx, cur and
+    the columns of scaled, and the powers to mark are picked from a coprime
+    table gathered by order: on Sp4(4) that takes 0.02 s and 0.01 s, where
+    boolean masks and a gcd per power took 0.03 s and 0.04 s.  The sorted
+    lookups take about 0.04 s, the products 0.02 s and sorting the marked
+    powers 0.02 s.
+    """
     ident = _identity_key(spec)
     chain_orders = np.zeros(len(batch), dtype=orders.dtype)
     powers, owners = [], []  # g^j, j >= 2, not yet the identity, and the index of g
@@ -486,8 +497,8 @@ def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarr
         done = cur == ident
         if done.any():
             chain_orders[idx[done]] = j
-            keep = ~done
-            idx, cur, scaled = idx[keep], cur[keep], scaled[:, keep]
+            live = np.flatnonzero(~done)
+            idx, cur, scaled = idx.take(live), cur.take(live), scaled.take(live, axis=1)
             if not len(idx):
                 break
         if j > 1:
@@ -500,22 +511,30 @@ def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarr
     if not powers:
         return
     # g^j generates <g> when gcd(j, k) = 1 for the order k of g: keep only
-    # those, and drop each full-length list before the next array of its size
+    # those, and drop each full-length list before the next array of its size.
+    # coprime[k] says so for the step's j, set at the batch's few distinct orders.
+    distinct = np.unique(chain_orders)
+    coprime = np.zeros(int(distinct[-1]) + 1, dtype=bool)
     marked_orders = []
     for i, owner in enumerate(owners):
-        k = chain_orders[owner]
-        coprime = np.gcd(k, i + 2) == 1
-        powers[i] = powers[i][coprime]
-        marked_orders.append(k[coprime])
+        coprime[distinct] = np.gcd(distinct, i + 2) == 1
+        k = chain_orders.take(owner)
+        marked = np.flatnonzero(coprime.take(k))
+        powers[i] = powers[i].take(marked)
+        marked_orders.append(k.take(marked))
     del owners
     power, power_orders = np.concatenate(powers), np.concatenate(marked_orders)
     del powers, marked_orders
+    # an index costs 8 bytes a power: each index array is freed once used
     by_key = np.argsort(power)
-    power, power_orders = power[by_key], power_orders[by_key]
+    power, power_orders = power.take(by_key), power_orders.take(by_key)
+    del by_key
     # two chains of one cyclic subgroup in a batch mark the same powers
-    first = np.concatenate(([True], power[1:] != power[:-1]))
-    power, power_orders = power[first], power_orders[first]
+    first = np.flatnonzero(np.concatenate(([True], power[1:] != power[:-1])))
+    power, power_orders = power.take(first), power_orders.take(first)
+    del first
     pos = np.minimum(np.searchsorted(keys, power), len(keys) - 1)
+    # in a group every power hits: a mask that is all true beats flatnonzero and take
     hit = keys[pos] == power
     orders[pos[hit]] = power_orders[hit]
 
