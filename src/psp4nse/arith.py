@@ -6,7 +6,8 @@ rho), one divisor walk that gives every divisor of a number with its Euler
 phi and Dedekind psi, prime-power counting (pi by bisecting that sieve below
 10^6, from the Lucy_Hedgehog table from 10^6 on), exact cyclotomic values
 including the twisted factors of Phi_6 and Phi_12, the prime-power equation
-p^m = q^n + 1, validation of q = 2^f > 2, and the five divisibility
+p^m = q^n + 1 (by parity p = 2 or q = 2, so only 2^k + 1 and 2^k - 1 are
+factored), validation of q = 2^f > 2, and the five divisibility
 predicates about q^4(q^4-1)(q^2-1) that `psp4nse selftest` and the
 acceptance suite check (the case rows evaluate those clauses).
 
@@ -412,28 +413,24 @@ def classify_catalan(p: int, q: int, m: int, n: int) -> CatalanSolution | None:
 
 
 def search_catalan(bound: int) -> list[CatalanSolution]:
-    """All solutions p^m = q^n + 1 with p^m <= bound, classified."""
+    """All solutions p^m = q^n + 1 with p^m <= bound, classified.
+
+    Odd p and q would make p^m odd and q^n + 1 even, so only 2^k + 1 (q = 2)
+    and 2^k - 1 (p = 2) with 2^k <= bound are factored.  A non-integer
+    bound raises TypeError.
+    """
+    bound = index(bound)
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     if bound > _SIEVE_BOUND:
-        # every base q with q + 1 <= bound must come out of the sieve
+        # factoring 2^k +- 1 grows costly with k (rho stalls on 2^128 + 1)
         raise ValueError(f"search bound above {_SIEVE_BOUND} is unsupported")
-    found: list[CatalanSolution] = []
-    for q in _small_primes():
-        if q + 1 > bound:
-            break
-        power = q
-        n = 1
-        while power + 1 <= bound:
-            pk = is_prime_power(power + 1)
-            if pk is not None:
-                p, m = pk
-                sol = classify_catalan(p, q, m, n)
-                if sol is None:
-                    raise AssertionError(f"search produced non-solution {p, q, m, n}")
-                found.append(sol)
-            power *= q
-            n += 1
+    found = []
+    for k in range(1, bound.bit_length()):  # every k with 2^k <= bound
+        if (1 << k) < bound and (pm := is_prime_power((1 << k) + 1)):
+            found.append(classify_catalan(pm[0], 2, pm[1], k))
+        if qn := is_prime_power((1 << k) - 1):
+            found.append(classify_catalan(2, qn[0], k, qn[1]))
     return sorted(found, key=lambda s: (s.value, s.q, s.n))
 
 

@@ -296,7 +296,7 @@ class EnumeratedGroup:
 
     @cached_property
     def _histogram(self) -> OrderHistogram:
-        orders = _element_orders(self.spec, self.keys, len(self) + 1)
+        orders = _element_orders(self.spec, self.keys)
         # np.bincount copies its input to intp, and np.unique sorts uint8
         # orders 4x slower than int32 ones: count one batch at a time
         counts = np.zeros(int(orders.max(initial=0)) + 1, dtype=np.int64)
@@ -448,7 +448,7 @@ class OrderHistogram:
         return self.counts.get(order, 0)
 
 
-def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray:
+def _element_orders(spec: FieldSpec, keys: np.ndarray) -> np.ndarray:
     """The order of every key, from power chains that mark only generators.
 
     The unassigned keys among the next 4 * _ORDER_BATCH positions, at most
@@ -460,10 +460,12 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
     are short.  Powers outside the keys are skipped, so a key set that is not
     closed gets the same orders as a chain per key.
 
-    Orders are held in _order_dtype(spec).  Each batch runs in _order_batch,
-    so its temporaries are freed before the next batch makes its own.  On
-    Sp4(4) this takes about 0.12-0.14 s on a 2-vCPU x86-64 host, with
-    1,924,841 products and 768,294 sorted lookups.
+    Orders are held in _order_dtype(spec), the word of q^4 - 1, the largest
+    order in GL4(q): a chain stops there, so a key whose powers miss the
+    identity (a singular matrix) raises RuntimeError after q^4 - 1 products.
+    Each batch runs in _order_batch, so its temporaries are freed before the
+    next batch makes its own.  On Sp4(4) this takes about 0.12-0.14 s on a
+    2-vCPU x86-64 host, with 1,924,841 products and 768,294 sorted lookups.
     """
     orders = np.zeros(len(keys), dtype=_order_dtype(spec))
     start, window = 0, 4 * _ORDER_BATCH
@@ -471,21 +473,19 @@ def _element_orders(spec: FieldSpec, keys: np.ndarray, bound: int) -> np.ndarray
         batch = np.flatnonzero(orders[start : start + window] == 0)[:_ORDER_BATCH] + start
         start = int(batch[-1]) + 1 if len(batch) == _ORDER_BATCH else start + window
         if len(batch):
-            _order_batch(spec, keys, bound, orders, batch)
+            _order_batch(spec, keys, orders, batch)
     return orders
 
 
-def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarray,
-                 batch: np.ndarray) -> None:
+def _order_batch(spec: FieldSpec, keys: np.ndarray, orders: np.ndarray, batch: np.ndarray) -> None:
     """Write into orders the order of each key at the positions batch, and that
     order at each marked power of the key among the sorted keys.
 
     Finished chains are dropped by one flatnonzero and a take on idx, cur and
     the columns of scaled, and the powers to mark are picked from a coprime
-    table gathered by order: on Sp4(4) that takes 0.02 s and 0.01 s, where
-    boolean masks and a gcd per power took 0.03 s and 0.04 s.  The sorted
-    lookups take about 0.04 s, the products 0.02 s and sorting the marked
-    powers 0.02 s.
+    table gathered by order: on Sp4(4) that takes 0.02 s and 0.01 s.  The
+    sorted lookups take about 0.04 s, the products 0.02 s and sorting the
+    marked powers 0.02 s.
     """
     ident = _identity_key(spec)
     chain_orders = np.zeros(len(batch), dtype=orders.dtype)
@@ -493,6 +493,7 @@ def _order_batch(spec: FieldSpec, keys: np.ndarray, bound: int, orders: np.ndarr
     idx = np.arange(len(batch))
     cur = keys[batch]
     scaled = _scaled_rows(spec, cur)  # a chain's base is fixed
+    bound = spec.order**4 - 1
     for j in range(1, bound + 1):
         done = cur == ident
         if done.any():

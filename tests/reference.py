@@ -6,9 +6,11 @@ from all five moduli, the class table row by row and its representatives'
 orders by one np.gcd per row, the per-family CSV writer, the per-order count
 dispatcher with phi and psi by trial division over the order primes, trial
 division one sieve prime at a time, the byte-array sieve, the
-divide-out recursion for cyclotomic values, and the linear scan of a
-parameter run q' = 2, 3, ... that the case table's searches replace.  No package module calls them,
-so they live beside the checks that do.
+divide-out recursion for cyclotomic values, the linear scan of a
+parameter run q' = 2, 3, ... that the case table's searches replace, and
+the Catalan search over every sieve prime q that the parity route
+replaces.  No package module calls them, so they live beside the checks
+that do.
 """
 
 from functools import lru_cache
@@ -18,14 +20,17 @@ from math import gcd, isqrt
 import numpy as np
 
 from psp4nse.arith import (
+    CatalanSolution,
     Factorization,
     _pollard_brent,
     _prime_pi_table,
     _small_primes,
+    classify_catalan,
     divisor_phi_psi,
     divisors,
     factorize,
     is_prime,
+    is_prime_power,
     nth_root,
 )
 from psp4nse.sympl import _exact, spectrum
@@ -324,3 +329,20 @@ def scanned_run(fn, bound: int) -> list[int]:
     while fn(x := len(run) + 2) <= bound:
         run.append(x)
     return run
+
+
+def catalan_by_sieve(bound: int) -> list[CatalanSolution]:
+    """search_catalan(bound) by walking every sieve prime q with q + 1 <= bound
+    and each power q^n + 1 <= bound that is a prime power (2 <= bound <= 10^6)."""
+    found = []
+    for q in _small_primes():
+        if q + 1 > bound:
+            break
+        power, n = q, 1
+        while power + 1 <= bound:
+            pk = is_prime_power(power + 1)
+            if pk is not None:
+                found.append(classify_catalan(pk[0], q, pk[1], n))
+            power *= q
+            n += 1
+    return sorted(found, key=lambda s: (s.value, s.q, s.n))

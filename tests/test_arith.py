@@ -30,6 +30,7 @@ from psp4nse.arith import (
     _small_primes,
 )
 from reference import (
+    catalan_by_sieve,
     coprime_part,
     cyclotomic_by_division,
     dedekind_psi,
@@ -376,6 +377,38 @@ def test_search_catalan_million():
             s.p == 2 and s.n == 1 and is_prime(s.m),
         ]
         assert sum(flags) == 1, s
+
+
+@settings(max_examples=60)
+@given(bound=st.integers(2, 1 << 17))
+def test_search_catalan_equals_the_sieve_walk(bound):
+    assert search_catalan(bound) == catalan_by_sieve(bound)
+
+
+@pytest.mark.parametrize("k", range(1, 20))
+def test_search_catalan_equals_the_sieve_walk_around_powers_of_two(k):
+    for bound in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        if bound >= 2:
+            assert search_catalan(bound) == catalan_by_sieve(bound), bound
+
+
+def test_search_catalan_factors_only_two_to_the_k_plus_or_minus_one():
+    # the sieve walk filled the whole 65,536-entry cache at 10^6; parity leaves
+    # 2^k + 1 and 2^k - 1 for k <= 19, 36 distinct values (2^1 + 1 = 2^2 - 1)
+    factorize.cache_clear()
+    search_catalan(10**6)
+    assert factorize.cache_info().currsize <= 40
+
+
+def test_search_catalan_rejects_non_integer_and_out_of_range_bounds():
+    with pytest.raises(TypeError):
+        search_catalan(1000.0)
+    for bound in (1, 0, -5):
+        with pytest.raises(ValueError, match="bound must be >= 2"):
+            search_catalan(bound)
+    with pytest.raises(ValueError, match="search bound above 1000000 is unsupported"):
+        search_catalan(10**6 + 1)
+    assert search_catalan(np.int64(1000)) == search_catalan(1000)
 
 
 def test_divisibility_predicates_witnesses():

@@ -176,6 +176,23 @@ def test_catalan_output(tmp_path):
     assert kinds == {"Exceptional", "Fermat", "Mersenne"}
 
 
+@pytest.mark.parametrize("bound, digest", [
+    ("1000", "b2eeb2241eea6b13ac0a084ab7aa216ba9a357827ac61a2cd52ea5398778f6ee"),
+    ("1000000", "58b3b5da8ccfb521bba1dffce50470c305cdcee80bf2b20415980f69e17dc103"),
+])
+def test_catalan_stdout_digest(bound, digest, capfdbinary):
+    # recorded from the search over every sieve prime q, before the parity route
+    assert run_cli(["catalan", "--bound", bound]) == 0
+    assert hashlib.sha256(capfdbinary.readouterr().out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", ["1", "0", "-3", "1000001"])
+def test_catalan_rejects_bounds_outside_2_to_a_million(bound, capsys):
+    assert run_cli(["catalan", "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_oracle_example84(tmp_path, capsys):
     assert run_cli(["oracle", "--example-84", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

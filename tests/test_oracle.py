@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -299,7 +300,7 @@ def test_orders_stay_in_the_narrowest_word_of_q4_minus_1(f, word):
     spec = FieldSpec.for_degree(f)
     gens = [_perm_matrix(spec, (1, 0, 2, 3)), _perm_matrix(spec, (1, 2, 3, 0))]
     keys = enumerate_group(gens, cap=24).keys
-    orders = _element_orders(spec, keys, len(keys) + 1)
+    orders = _element_orders(spec, keys)
     assert orders.dtype == word
     assert np.array_equal(orders, _chain_orders(spec, keys))
 
@@ -311,7 +312,7 @@ def test_sp44_and_singer_cycle_orders_fit_uint8(sp44):
     # a Singer cycle of GL4(4) has order q^4 - 1 = 255, the largest uint8
     singer = Mat4.from_rows(sp44.spec, _SINGER_ROWS)
     for keys in (sp44.keys, enumerate_group([singer], cap=255).keys):
-        orders = _element_orders(sp44.spec, keys, len(keys) + 1)
+        orders = _element_orders(sp44.spec, keys)
         assert orders.dtype == np.uint8
         # a chain per key, 2^16 keys at a time
         want = [_chain_orders(sp44.spec, keys[i : i + (1 << 16)])
@@ -334,7 +335,7 @@ def test_orders_above_255_stay_exact_in_uint16():
     for _ in range(15):
         power = power.mul(singer)
     group = enumerate_group([power], cap=273)
-    orders = _element_orders(spec, group.keys, len(group) + 1)
+    orders = _element_orders(spec, group.keys)
     assert orders.dtype == np.uint16 and int(orders.max()) == 273
     assert np.array_equal(orders, _chain_orders(spec, group.keys))
     assert order_histogram(group).counts == {d: euler_phi(d) for d in divisors(273)}
@@ -367,7 +368,7 @@ def _chain_orders(spec, keys):
     keys = np.asarray(keys, dtype=np.uint64)
     orders = np.zeros(len(keys), dtype=np.int64)
     cur, todo = keys, np.arange(len(keys))
-    for k in range(1, len(keys) + 2):
+    for k in range(1, spec.order**4):
         done = cur == ident
         orders[todo[done]] = k
         cur, todo = cur[~done], todo[~done]
@@ -375,14 +376,14 @@ def _chain_orders(spec, keys):
             break
         cur = _kmul(spec, cur, keys[todo])
     else:
-        raise RuntimeError("element order exceeds the bound len(keys) + 1")
+        raise RuntimeError("element order exceeds the bound q^4 - 1")
     return orders
 
 
 def _assert_orders_match_chains(spec, keys):
     """_element_orders and order_histogram agree with a chain per key, key by key."""
     want = _chain_orders(spec, keys)
-    assert np.array_equal(_element_orders(spec, keys, len(keys) + 1), want)
+    assert np.array_equal(_element_orders(spec, keys), want)
     values, counts = np.unique(want, return_counts=True)
     hist = order_histogram(EnumeratedGroup(spec, keys))
     assert hist.counts == {int(v): int(c) for v, c in zip(values, counts)}
@@ -539,7 +540,7 @@ def test_breadth_first_reference_equals_sp4_group(sp44):
 @given(data=st.data())
 def test_histogram_of_non_closed_subsets_matches_per_element_chain(sp44, data):
     # a random part of the cyclic subgroups of a few elements of Sp4(4), plus
-    # other random elements; both sides raise when an order exceeds len + 1
+    # other random elements
     ident = Mat4.identity(sp44.spec)
     index = st.integers(0, len(sp44) - 1)
     picks = data.draw(st.lists(index, min_size=1, max_size=5))
@@ -554,12 +555,6 @@ def test_histogram_of_non_closed_subsets_matches_per_element_chain(sp44, data):
                 break
             power = power.mul(g)
     keys = np.array(sorted(keys), dtype=np.uint64)
-    try:
-        _chain_orders(sp44.spec, keys)
-    except RuntimeError:
-        with pytest.raises(RuntimeError, match=f"element order exceeds bound {len(keys) + 1}"):
-            order_histogram(EnumeratedGroup(sp44.spec, keys))
-        return
     _assert_orders_match_chains(sp44.spec, keys)
 
 
@@ -573,16 +568,32 @@ def test_torus_missing_one_element_gets_per_element_histogram(missing):
     assert hist.counts == ({1: 1, 3: 7} if has_identity else {3: 8})
 
 
-@pytest.mark.parametrize("rows", [
-    [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # idempotent-like, rank 3
-    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # nilpotent
-])
+@pytest.mark.parametrize("rows", [_RANK_3, _NILPOTENT])
 def test_singular_matrix_hits_order_bound(rows):
     spec = FieldSpec.for_degree(2)
     mats = [Mat4.identity(spec), *sp4_generators(4), Mat4.from_rows(spec, rows)]
     keys = np.array(sorted({m.packed() for m in mats}), dtype=np.uint64)
-    with pytest.raises(RuntimeError, match=f"element order exceeds bound {len(keys) + 1}"):
+    with pytest.raises(RuntimeError, match="element order exceeds bound 255"):
         order_histogram(EnumeratedGroup(spec, keys))
+
+
+def test_singular_key_among_sp44_fails_at_q4_minus_1_products(sp44):
+    # a chain stops at q^4 - 1 = 255, the largest order in GL4(4); bounded by
+    # the key count, 979,202, the nilpotent key's chain ran for 51 s
+    nilpotent = Mat4.from_rows(sp44.spec, _NILPOTENT).packed()
+    keys = np.insert(sp44.keys, np.searchsorted(sp44.keys, nilpotent), nilpotent)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="element order exceeds bound 255"):
+        order_histogram(EnumeratedGroup(sp44.spec, keys))
+    assert time.perf_counter() - start < 2
+
+
+def test_lone_key_of_order_3_gets_its_histogram():
+    # the torus element h(g, 1) of Sp4(4) has order q - 1 = 3; bounded by the
+    # key count, its chain stopped at 2
+    h = sp4_generators(4)[4]
+    keys = np.array([h.packed()], dtype=np.uint64)
+    assert order_histogram(EnumeratedGroup(h.spec, keys)).counts == {3: 1}
 
 
 def test_enumerated_cosets_are_taken_over_checked_and_read_only(monkeypatch):
@@ -629,7 +640,7 @@ def test_sp44_key_and_order_digests(sp44):
     # recorded on uint64 keys and int64 orders: the narrower words hold the same values
     assert hashlib.sha256(sp44.keys.astype(np.uint64).tobytes()).hexdigest() == \
         "73613800065e58a5f7fe7e0d4fc4d112c4813e0cb1fa8aec9204a00e55822f3f"
-    orders = _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+    orders = _element_orders(sp44.spec, sp44.keys)
     assert hashlib.sha256(orders.astype(np.int64).tobytes()).hexdigest() == \
         "d0c9c6fb92bfac257f809ee4440913d4543446750e30ba2674ed99324a3fbf12"
 
@@ -676,7 +687,7 @@ def test_sp44_enumeration_and_orders_traced_peaks(sp44):
         enumerated = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+        _element_orders(sp44.spec, sp44.keys)
         ordered = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -692,7 +703,7 @@ def test_sp44_orders_of_a_sample_match_their_own_chains(sp44):
     # at most 17 products per sampled key
     rng = np.random.default_rng(2024)
     index = np.sort(rng.choice(len(sp44), size=4096, replace=False))
-    orders = _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+    orders = _element_orders(sp44.spec, sp44.keys)
     assert np.array_equal(orders[index], _chain_orders(sp44.spec, sp44.keys[index]))
 
 
@@ -790,7 +801,7 @@ def test_sp44_conjugacy_classes_match_the_class_table(sp44):
     # the classes by brute force: orbits of the group acting on itself by
     # conjugation with its 8 generators
     labels = _orbit_labels(_conjugation_permutations(sp44, sp4_generators(4)), len(sp44))
-    orders = _element_orders(sp44.spec, sp44.keys, len(sp44) + 1)
+    orders = _element_orders(sp44.spec, sp44.keys)
     reps, sizes = np.unique(labels, return_counts=True)
     assert np.array_equal(orders, orders[labels])  # conjugates have one order
     found = Counter(zip(sizes.tolist(), orders[reps].tolist()))
