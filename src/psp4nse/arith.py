@@ -458,10 +458,14 @@ def power_of_two_exponent(q: int) -> int | None:
 
 def _integers(values):
     """The collection values itself when every value is a Python int, else its
-    values as a list of ints: numpy integers are converted, and any other
-    non-integer (a float, say) raises TypeError."""
+    values as a list of ints: numpy integers are converted, and a bool (which
+    would pass as 0 or 1) or any other non-integer (a float, say) raises
+    TypeError."""
     # a type test per value is cheaper than a conversion, and plain ints are the rule
-    return values if set(map(type, values)) <= {int} else list(map(index, values))
+    types = set(map(type, values))
+    if bool in types:
+        raise TypeError("values must be integers, got bool")
+    return values if types <= {int} else list(map(index, values))
 
 
 def validate_q(q: int) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, count, filterfalse, takewhile
 from math import gcd, isqrt, prod
 from typing import Callable, NamedTuple
@@ -93,10 +92,9 @@ AN_OC_RECOGNITION = "PSp4(q) is recognized among finite groups by its order comp
 AmcSets = NamedTuple("AmcSets", [(f"a{i}", frozenset[int]) for i in range(1, 10)])
 
 
-@lru_cache(maxsize=64)
 def build_A_sets(q: int) -> AmcSets:
-    """The candidate same-order-count sets, cached per q (AmcSets is immutable):
-    the distinct counts of each class of element orders (sympl._order_classes)."""
+    """The candidate same-order-count sets: the distinct counts of each class
+    of element orders (sympl._order_classes)."""
     validate_q(q)
     return AmcSets(*(cls.values() for cls in _order_classes(q)))
 

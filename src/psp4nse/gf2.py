@@ -9,7 +9,6 @@ concrete field and golden files stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import divisors
 
@@ -37,7 +36,6 @@ def _is_irreducible(poly: int, f: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
 def lexicographic_modulus(f: int) -> int:
     """Smallest irreducible degree-f polynomial over GF(2), as a bitmask."""
     if f < 1:

@@ -33,7 +33,6 @@ is trivial, so the enumerated Sp4(q) *is* PSp4(q) and no quotient is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -248,13 +247,13 @@ class _Cosets(np.ndarray):
 class EnumeratedGroup:
     """An enumerated matrix group over GF(2^f), f <= 4, as its sorted packed keys.
 
-    The keys are copied into a read-only array of the spec's key word, so the
-    order histogram that order_histogram stores on the group cannot go stale;
-    only the cosets of enumerate_group are taken over as they are.  A key
-    outside 0..2^(16f) - 1 raises ValueError rather than wrap in the cast, and
-    keys of a dtype other than an integer one raise TypeError rather than be
-    truncated.  Keys given as a list are checked as the ints they are, so one
-    list may hold keys below and at or above 2^63.
+    The keys are copied into a read-only array of the spec's key word, so no
+    later edit of the caller's array can unsort the keys that order_histogram
+    and membership search; only the cosets of enumerate_group are taken over
+    as they are.  A key outside 0..2^(16f) - 1 raises ValueError rather than
+    wrap in the cast, and keys of a dtype other than an integer one raise
+    TypeError rather than be truncated.  Keys given as a list are checked as
+    the ints they are, so one list may hold keys below and at or above 2^63.
     """
 
     spec: FieldSpec
@@ -293,16 +292,6 @@ class EnumeratedGroup:
         key = _key_dtype(self.spec).type(m.packed())
         pos = int(np.searchsorted(self.keys, key))
         return pos < len(self.keys) and self.keys[pos] == key
-
-    @cached_property
-    def _histogram(self) -> OrderHistogram:
-        orders = _element_orders(self.spec, self.keys)
-        # np.bincount copies its input to intp, and np.unique sorts uint8
-        # orders 4x slower than int32 ones: count one batch at a time
-        counts = np.zeros(int(orders.max(initial=0)) + 1, dtype=np.int64)
-        for i in range(0, len(orders), _ORDER_BATCH):
-            counts += np.bincount(orders[i : i + _ORDER_BATCH], minlength=len(counts))
-        return OrderHistogram({k: c for k, c in enumerate(counts.tolist()) if c})
 
 
 def _identity_key(spec: FieldSpec) -> np.unsignedinteger:
@@ -412,20 +401,14 @@ def enumerate_group(generators: list[Mat4], cap: int) -> EnumeratedGroup:
     return EnumeratedGroup(spec, cosets.view(_Cosets))
 
 
-_SP4_CACHE: dict[int, EnumeratedGroup] = {}
-
-
 def sp4_group(q: int, cap: int = DEFAULT_MAX_ENUM) -> EnumeratedGroup:
-    """Enumerate Sp4(q) once per process; capacity errors are not cached.
+    """Enumerate Sp4(q) from sp4_generators(q).
 
     A q whose group order already exceeds cap fails before any enumeration.
     """
     if group_order(q) > cap:
         raise CapacityExceeded(f"closure exceeded cap of {cap} elements")
-    group = _SP4_CACHE.get(q)
-    if group is None:
-        group = _SP4_CACHE[q] = enumerate_group(sp4_generators(q), cap)
-    return group
+    return enumerate_group(sp4_generators(q), cap)
 
 
 @dataclass(frozen=True)
@@ -541,12 +524,14 @@ def _order_batch(spec: FieldSpec, keys: np.ndarray, orders: np.ndarray, batch: n
 
 
 def order_histogram(group: EnumeratedGroup) -> OrderHistogram:
-    """Exact order histogram of an enumerated group.
-
-    It is computed on the first call and stored on the group, whose keys are
-    read-only; later calls return the same object.
-    """
-    return group._histogram
+    """Exact order histogram of an enumerated group, computed on each call."""
+    orders = _element_orders(group.spec, group.keys)
+    # np.bincount copies its input to intp, and np.unique sorts uint8
+    # orders 4x slower than int32 ones: count one batch at a time
+    counts = np.zeros(int(orders.max(initial=0)) + 1, dtype=np.int64)
+    for i in range(0, len(orders), _ORDER_BATCH):
+        counts += np.bincount(orders[i : i + _ORDER_BATCH], minlength=len(counts))
+    return OrderHistogram({k: c for k, c in enumerate(counts.tolist()) if c})
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ def _library_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_readme_library_example_runs(sp44):
-    # sp44 enumerates Sp4(4) into the per-process cache that sp4_group reuses
+def test_readme_library_example_runs():
     code = _library_example()
     exec(compile(code, str(README), "exec"), {})
     imported = re.search(r"^from psp4nse import (.+)$", code, re.M).group(1)

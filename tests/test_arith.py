@@ -436,7 +436,6 @@ def test_every_q_taking_function_raises_type_error_for_a_q_that_is_no_int(q):
                                nse_table, spectrum)
 
     spectrum.cache_clear()
-    build_A_sets.cache_clear()
     for fn in (group_order, spectrum, nse_table, nse_set, class_table,
                lambda q: family_class_count(q, "A1"), prime_graph, separation_check,
                build_A_sets, frobenius_exclusion, lambda q: eliminate_family(q, "PSL"),

@@ -38,7 +38,7 @@ def test_recognize_mix_pass_has_no_failures(workloads, traced):
 @pytest.mark.parametrize("traced", [False, True])
 def test_oracle_pass_has_no_failures(workloads, traced):
     # the traced pass calls enumerate_group itself; the plain pass goes through
-    # sp4_group, which may return the Sp4(4) another test left in _SP4_CACHE
+    # sp4_group, which enumerates Sp4(4) anew on every call
     result = workloads.run_pass("oracle-q4", 11, traced)
     assert result["attempted"] == 3
     assert result["failed"] == 0, result["failures"][:3]

@@ -56,6 +56,8 @@ def test_build_a_sets_q4():
     assert a.a5 == {52224}
     assert a.a9 == {230400}
     assert frozenset().union(*a) == nse_set(4)
+    with pytest.raises(ValueError):
+        build_A_sets(6)
 
 
 def test_build_a_sets_q8():
@@ -64,17 +66,6 @@ def test_build_a_sets_q8():
     assert len(a.a4) == 1
     assert a.a9 == {16257024, 48771072, 195084288}
     assert frozenset().union(*a) == nse_set(8)
-
-
-def test_build_a_sets_is_cached_per_q():
-    build_A_sets.cache_clear()
-    a = build_A_sets(64)
-    assert build_A_sets(64) is a
-    assert build_A_sets(128) is not a
-    info = build_A_sets.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (1, 2, 64)
-    with pytest.raises(ValueError):
-        build_A_sets(6)
 
 
 def test_only_q_minus_1_q_plus_1_and_q2_plus_1_are_factored(monkeypatch):
@@ -98,7 +89,6 @@ def test_only_q_minus_1_q_plus_1_and_q2_plus_1_are_factored(monkeypatch):
         monkeypatch.setattr(mod, "factorize", guarded)
     real.cache_clear()
     spectrum.cache_clear()
-    build_A_sets.cache_clear()
     table = nse_table(q)
     build_A_sets(q)
     assert separation_check(q)
@@ -147,7 +137,6 @@ def test_characterize_never_builds_the_keyed_table(monkeypatch, goldens):
     assert sys.modules["psp4nse.sympl"] in modules
     for mod in modules:
         monkeypatch.setattr(mod, "nse_table", refuse)
-    build_A_sets.cache_clear()
     for f in range(2, 27):
         q = 1 << f
         text = json.dumps(verdict_json(characterize(group_order(q), nse_set(q))), indent=2) + "\n"
@@ -166,7 +155,6 @@ def test_characterize_builds_the_order_classes_once(monkeypatch, f):
     mod = sys.modules["psp4nse.characterize"]
     built, real = [], mod._order_classes
     monkeypatch.setattr(mod, "_order_classes", lambda q: built.append(q) or real(q))
-    build_A_sets.cache_clear()
     q = 1 << f
     assert characterize(group_order(q), nse_set(q)).outcome == OUTCOME_ISOMORPHIC
     assert built == [q]
@@ -349,6 +337,12 @@ def test_characterize_rejects_non_integers(order, extra):
     # a float among the counts once came back as "unexpected [2.5]"
     with pytest.raises(TypeError):
         characterize(order, nse_set(4) | {extra})
+
+
+def test_characterize_rejects_a_bool_member():
+    # True == 1, so this set once passed as nse(PSp4(4)) and came back isomorphic
+    with pytest.raises(TypeError, match="bool"):
+        characterize(979200, nse_set(4) - {1} | {True})
 
 
 def test_characterize_takes_numpy_integers_as_ints():

@@ -201,8 +201,7 @@ def test_oracle_example84(tmp_path, capsys):
     assert report["Z3x(Z7:Z4)"]["G_3"] == "3"
 
 
-def test_oracle_compare(tmp_path, capsys, sp44):
-    # sp44 fixture pre-populates the per-process cache, so this reuses it
+def test_oracle_compare(tmp_path, capsys):
     assert run_cli(["oracle", "--q", "4", "--compare", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "compare: OK" in out
@@ -210,7 +209,23 @@ def test_oracle_compare(tmp_path, capsys, sp44):
     assert hist["counts"]["17"] == "230400"
 
 
-def test_oracle_compare_ignores_nse_max_enum(tmp_path, monkeypatch, capsys, sp44):
+def test_oracle_compare_enumerates_and_orders_sp44_itself(tmp_path, monkeypatch, capsys,
+                                                          sp44, sp44_hist):
+    # with the suite's Sp4(4) and its histogram at hand, the command once reused
+    # both and called neither function
+    calls = {"enumerate_group": 0, "_element_orders": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert cli.main(["oracle", "--q", "4", "--compare", "--out", str(tmp_path)]) == 0
+    assert "compare: OK" in capsys.readouterr().out
+    assert calls == {"enumerate_group": 1, "_element_orders": 1}
+
+
+def test_oracle_compare_ignores_nse_max_enum(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NSE_MAX_ENUM", "1000")
     assert run_cli(["oracle", "--q", "4", "--compare", "--out", str(tmp_path)]) == 0
     assert "compare: OK" in capsys.readouterr().out
@@ -232,8 +247,7 @@ def test_oracle_capacity_limit(tmp_path, monkeypatch, capsys):
     (MemoryError(), "error: out of memory\n"),
     (MemoryError("Unable to allocate 3.74 MiB"), "error: Unable to allocate 3.74 MiB\n"),
 ])
-def test_oracle_out_of_memory_exits_1_in_one_line(tmp_path, monkeypatch, capsys, sp44, exc,
-                                                  message):
+def test_oracle_out_of_memory_exits_1_in_one_line(tmp_path, monkeypatch, capsys, exc, message):
     # memory is a resource limit like the element budget: exit 1, no traceback
     def no_memory(group):
         raise exc

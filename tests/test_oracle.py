@@ -35,6 +35,7 @@ from psp4nse.oracle import (
     perm_group_elements,
     perm_nse,
     sp4_generators,
+    sp4_group,
     z3_times_z7_z4,
     z4_times_z7_z3,
 )
@@ -695,8 +696,11 @@ def test_sp44_enumeration_and_orders_traced_peaks(sp44):
     assert ordered < 4.75 * 2**20
 
 
-def test_histogram_computed_once_per_group(sp44, sp44_hist):
-    assert order_histogram(sp44) is sp44_hist
+def test_histogram_is_computed_anew_for_every_call():
+    # an edit to one call's histogram once came back from every later call
+    h = order_histogram(sp4_group(4))
+    h.counts[2] = 0
+    assert order_histogram(sp4_group(4)).counts[2] == 4335
 
 
 def test_sp44_orders_of_a_sample_match_their_own_chains(sp44):

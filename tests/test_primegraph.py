@@ -217,9 +217,11 @@ def test_build_graph_reads_a_set_whose_every_member_has_its_least_prime_quotient
     assert build_graph({1, 2, 3, 6, 12}, 12) == build_graph({1, 2, 3, 4, 6, 12}, 12)
 
 
-@pytest.mark.parametrize("spec, order", [({1, 6.0}, 12), ({1, 6}, 12.0), ({1, "6"}, 12)])
+@pytest.mark.parametrize("spec, order", [({1, 6.0}, 12), ({1, 6}, 12.0), ({1, "6"}, 12),
+                                         ({True, 2, 3, 6}, 12)])
 def test_build_graph_rejects_non_integers(spec, order):
-    # floats once came back as the vertex 3.0 and the order component 12.0
+    # floats once came back as the vertex 3.0 and the order component 12.0,
+    # and True once stood in for the member 1
     with pytest.raises(TypeError):
         build_graph(spec, order)
 
